@@ -18,8 +18,10 @@ use cynthia_sim::fluid::{FlowSpec, FluidSystem};
 pub fn measure_bandwidth(ty: &InstanceType, background_flows: usize) -> f64 {
     let mut sys = FluidSystem::new();
     let nic = sys.add_resource(ty.nic_mbps, format!("{}-nic", ty.name));
+    // Background flows outlast the probe: the largest finite volume (a
+    // flow's volume must be finite).
     for i in 0..background_flows {
-        sys.start_flow(FlowSpec::new(vec![nic], f64::INFINITY, i as u64));
+        sys.start_flow(FlowSpec::new(vec![nic], f64::MAX, i as u64));
     }
     // 10 MB probe, the default netperf TCP_STREAM style bulk transfer.
     let probe = sys.start_flow(FlowSpec::new(vec![nic], 10.0, u64::MAX));

@@ -13,12 +13,54 @@
 //! simulators; it captures exactly the contention effects the Cynthia paper
 //! measures (PS NIC saturation in Figs. 2 and 7, PS CPU saturation in
 //! Table 2) without packet-level detail.
+//!
+//! # Link-set classes
+//!
+//! Two flows with the same sorted link set, weight and `max_rate` are
+//! indistinguishable to progressive filling, so they always get the same
+//! rate. The solver therefore works on *classes* keyed by
+//! `(links, weight, max_rate)`: a class holds its live-flow count and one
+//! rate, and a flow holds only its class index, remaining volume and tag.
+//! Each filling round walks the classes, not the flows; in a PS star with
+//! `n` workers and one PS that is `n + 1` classes however many chunks are
+//! in flight. A class whose last flow leaves is unmapped and its entry
+//! recycled, so the class table never outgrows the peak number of live link
+//! sets. Solver scratch buffers live in the system and are reused across
+//! solves.
+//!
+//! # Exact-order contract
+//!
+//! For unit-weight, uncapped flows (all the training engine creates) the
+//! results are bit-identical to progressive filling run flow by flow:
+//!
+//! * per-resource weights are integer counts, which sum exactly in any order;
+//! * a round that freezes `k` flows of a class adds their rate to each of
+//!   their resources `k` times, one flow at a time, never `k × rate`;
+//! * [`FluidSystem::total_rate_on`] sums flow rates in slot order, once per
+//!   solve, and then answers in O(1);
+//! * [`FluidSystem::next_completion`] and [`FluidSystem::advance`] walk the
+//!   flows in slot order, so ties break as before.
+//!
+//! Weighted or capped classes may sum in a different order than a flow-by-flow
+//! solve and agree with it to rounding (1e-9 relative is tested).
+//!
+//! Re-solving only the changed connected component, or event-driven
+//! per-resource virtual clocks, were not taken: in a PS star every worker
+//! talks to every PS, so the whole system is one component, and virtual
+//! clocks change the floating-point rounding of every completion time.
+
+use std::collections::HashMap;
 
 use crate::{Time, EPS};
 
 /// Rates below this are treated as stalled when searching for the next flow
 /// completion.
 const RATE_EPS: f64 = 1e-12;
+
+/// The sum of no rates. `-0.0` is the exact additive identity (`x + -0.0`
+/// is `x` for every `x`, `+0.0` included) and what `Iterator::sum` yields
+/// for an empty sequence.
+const NO_RATE: f64 = -0.0;
 
 /// Identifies a resource within a [`FluidSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,11 +115,9 @@ struct Resource {
 
 #[derive(Debug, Clone)]
 struct Flow {
-    links: Vec<ResourceId>,
+    /// Index into [`FluidSystem::classes`]; the flow's rate is its class's.
+    class: u32,
     remaining: f64,
-    rate: f64,
-    weight: f64,
-    max_rate: f64,
     /// Opaque caller payload, returned on completion.
     tag: u64,
 }
@@ -86,6 +126,21 @@ struct Flow {
 enum Slot {
     Occupied { gen: u32, flow: Flow },
     Vacant { gen: u32 },
+}
+
+/// `(sorted links, weight bits, max_rate bits)`: flows with equal keys
+/// always share one rate.
+type ClassKey = (Vec<ResourceId>, u64, u64);
+
+/// The live flows of one link-set class and their common rate.
+#[derive(Debug, Clone)]
+struct Class {
+    links: Vec<ResourceId>,
+    weight: f64,
+    max_rate: f64,
+    /// Live flows in the class; 0 marks a recycled entry.
+    count: u32,
+    rate: f64,
 }
 
 /// Parameters for starting a flow. See [`FluidSystem::start_flow`].
@@ -144,7 +199,20 @@ pub struct FluidSystem {
     slots: Vec<Slot>,
     free: Vec<u32>,
     active: usize,
+    classes: Vec<Class>,
+    class_of: HashMap<ClassKey, u32>,
+    /// Recycled entries, reused by new link sets.
+    free_classes: Vec<u32>,
+    /// Rates must be re-solved before the next query.
     dirty: bool,
+    /// Per-resource rate totals, valid while `!totals_stale`.
+    totals: Vec<f64>,
+    totals_stale: bool,
+    // Solver scratch, reused across solves.
+    used: Vec<f64>,
+    weight_on: Vec<f64>,
+    saturated: Vec<bool>,
+    frozen: Vec<bool>,
 }
 
 impl FluidSystem {
@@ -210,10 +278,27 @@ impl FluidSystem {
     /// A zero-volume flow is legal and completes on the next [`advance`] of
     /// any duration (including 0).
     ///
+    /// # Panics
+    ///
+    /// If the volume is negative or not finite, the weight is not positive
+    /// and finite, `max_rate` is negative or NaN (`INFINITY` means
+    /// uncapped), a link is foreign, or the flow has neither a link nor a
+    /// finite `max_rate`.
+    ///
     /// [`advance`]: FluidSystem::advance
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
-        assert!(spec.volume >= 0.0, "flow volume must be non-negative");
-        assert!(spec.weight > 0.0, "flow weight must be positive");
+        assert!(
+            spec.volume >= 0.0 && spec.volume.is_finite(),
+            "flow volume must be finite and non-negative"
+        );
+        assert!(
+            spec.weight > 0.0 && spec.weight.is_finite(),
+            "flow weight must be positive and finite"
+        );
+        assert!(
+            spec.max_rate >= 0.0,
+            "flow max_rate must be non-negative (INFINITY = uncapped)"
+        );
         assert!(
             !spec.links.is_empty() || spec.max_rate.is_finite(),
             "a flow needs at least one link or a finite max_rate"
@@ -228,12 +313,11 @@ impl FluidSystem {
                 "unknown resource {l:?}"
             );
         }
+        let class = self.class_for((links, spec.weight.to_bits(), spec.max_rate.to_bits()));
+        self.classes[class as usize].count += 1;
         let flow = Flow {
-            links,
+            class,
             remaining: spec.volume,
-            rate: 0.0,
-            weight: spec.weight,
-            max_rate: spec.max_rate,
             tag: spec.tag,
         };
         self.active += 1;
@@ -252,11 +336,42 @@ impl FluidSystem {
         }
     }
 
+    /// The class for `key`, registering it (in a recycled entry if one is
+    /// free) on first use.
+    fn class_for(&mut self, key: ClassKey) -> u32 {
+        if let Some(&c) = self.class_of.get(&key) {
+            return c;
+        }
+        let class = Class {
+            links: key.0.clone(),
+            weight: f64::from_bits(key.1),
+            max_rate: f64::from_bits(key.2),
+            count: 0,
+            rate: 0.0,
+        };
+        let c = match self.free_classes.pop() {
+            Some(c) => {
+                self.classes[c as usize] = class;
+                c
+            }
+            None => {
+                self.classes.push(class);
+                (self.classes.len() - 1) as u32
+            }
+        };
+        self.class_of.insert(key, c);
+        c
+    }
+
     fn get(&self, id: FlowId) -> Option<&Flow> {
         match self.slots.get(id.idx as usize)? {
             Slot::Occupied { gen, flow } if *gen == id.gen => Some(flow),
             _ => None,
         }
+    }
+
+    fn rate_of(&self, flow: &Flow) -> f64 {
+        self.classes[flow.class as usize].rate
     }
 
     /// Removes a flow before completion. Returns its remaining volume, or
@@ -273,38 +388,47 @@ impl FluidSystem {
     /// instance). Returns the `(tag, remaining volume)` of cancelled flows
     /// in slot order, which is deterministic.
     pub fn cancel_flows_where(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<(u64, f64)> {
-        let victims: Vec<(u32, u64, f64)> = self
-            .iter_flows()
-            .filter(|(_, f)| pred(f.tag))
-            .map(|(idx, f)| (idx, f.tag, f.remaining))
-            .collect();
-        let cancelled: Vec<(u64, f64)> = victims
-            .into_iter()
-            .map(|(idx, tag, remaining)| {
-                self.release(idx);
-                (tag, remaining)
-            })
-            .collect();
+        let mut cancelled = Vec::new();
+        for idx in 0..self.slots.len() as u32 {
+            if let Slot::Occupied { flow, .. } = &self.slots[idx as usize] {
+                if pred(flow.tag) {
+                    cancelled.push((flow.tag, flow.remaining));
+                    self.release(idx);
+                }
+            }
+        }
         crate::obs::flows_dropped(cancelled.len());
         cancelled
     }
 
     fn release(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
-        if let Slot::Occupied { gen, .. } = slot {
+        if let Slot::Occupied { gen, flow } = slot {
+            let c = flow.class;
             *slot = Slot::Vacant {
                 gen: gen.wrapping_add(1),
             };
             self.free.push(idx);
             self.active -= 1;
             self.dirty = true;
+            let class = &mut self.classes[c as usize];
+            class.count -= 1;
+            if class.count == 0 {
+                let key = (
+                    std::mem::take(&mut class.links),
+                    class.weight.to_bits(),
+                    class.max_rate.to_bits(),
+                );
+                self.class_of.remove(&key);
+                self.free_classes.push(c);
+            }
         }
     }
 
     /// Current max-min rate of `id`, or `None` if the flow is gone.
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.get(id).map(|f| f.rate)
+        self.get(id).map(|f| self.rate_of(f))
     }
 
     /// Remaining volume of `id`, or `None` if the flow is gone.
@@ -315,10 +439,20 @@ impl FluidSystem {
     /// Sum of current flow rates through `r` (≤ capacity).
     pub fn total_rate_on(&mut self, r: ResourceId) -> f64 {
         self.ensure_rates();
-        self.iter_flows()
-            .filter(|(_, f)| f.links.contains(&r))
-            .map(|(_, f)| f.rate)
-            .sum()
+        if self.totals_stale {
+            self.totals_stale = false;
+            self.totals.clear();
+            self.totals.resize(self.resources.len(), NO_RATE);
+            for slot in &self.slots {
+                if let Slot::Occupied { flow, .. } = slot {
+                    let class = &self.classes[flow.class as usize];
+                    for l in &class.links {
+                        self.totals[l.0 as usize] += class.rate;
+                    }
+                }
+            }
+        }
+        self.totals.get(r.0 as usize).copied().unwrap_or(NO_RATE)
     }
 
     /// Instantaneous utilization of `r` in `[0, 1]` (0 for zero-capacity
@@ -332,75 +466,40 @@ impl FluidSystem {
         }
     }
 
-    fn iter_flows(&self) -> impl Iterator<Item = (u32, &Flow)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Occupied { flow, .. } => Some((i as u32, flow)),
-            Slot::Vacant { .. } => None,
-        })
-    }
-
-    fn iter_flows_with_id(&self) -> impl Iterator<Item = (FlowId, &Flow)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Occupied { gen, flow } => Some((
-                FlowId {
-                    idx: i as u32,
-                    gen: *gen,
-                },
-                flow,
-            )),
-            Slot::Vacant { .. } => None,
-        })
-    }
-
-    fn flow_by_idx(&self, idx: u32) -> Option<&Flow> {
-        match self.slots.get(idx as usize)? {
-            Slot::Occupied { flow, .. } => Some(flow),
-            Slot::Vacant { .. } => None,
-        }
-    }
-
-    fn set_rate_by_idx(&mut self, idx: u32, rate: f64) {
-        if let Some(Slot::Occupied { flow, .. }) = self.slots.get_mut(idx as usize) {
-            flow.rate = rate;
-        }
-    }
-
-    /// Recomputes all flow rates by weighted progressive filling.
+    /// Recomputes every class rate by weighted progressive filling.
     ///
     /// Each round, every unfrozen flow `f` grows at rate `weight_f · λ`. The
     /// smallest `λ` at which either (a) a resource saturates or (b) a flow
-    /// hits its `max_rate` freezes the affected flows, and the remaining
-    /// flows keep growing. Terminates in at most `resources + flows` rounds.
+    /// hits its `max_rate` freezes the affected classes, and the remaining
+    /// classes keep growing. Terminates in at most `resources + classes`
+    /// rounds.
     fn ensure_rates(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
+        self.totals_stale = true;
 
         let n_res = self.resources.len();
-        let mut used = vec![0.0f64; n_res]; // rate already frozen on each resource
-        let mut frozen: Vec<bool> = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            frozen.push(!matches!(slot, Slot::Occupied { .. }));
-        }
-        // Zero-rate init.
-        for slot in self.slots.iter_mut() {
-            if let Slot::Occupied { flow, .. } = slot {
-                flow.rate = 0.0;
-            }
-        }
+        self.used.clear();
+        self.used.resize(n_res, 0.0); // rate already frozen on each resource
+        self.weight_on.resize(n_res, 0.0);
+        self.saturated.resize(n_res, false);
+        self.frozen.clear();
+        self.frozen
+            .extend(self.classes.iter().map(|c| c.count == 0));
 
         loop {
             // Aggregate unfrozen weight per resource.
-            let mut weight_on = vec![0.0f64; n_res];
+            self.weight_on.fill(0.0);
             let mut any_unfrozen = false;
-            for (i, f) in self.iter_flows() {
-                if frozen[i as usize] {
-                    continue;
-                }
+            for (c, _) in self.classes.iter().zip(&self.frozen).filter(|(_, f)| !**f) {
                 any_unfrozen = true;
-                for l in &f.links {
-                    weight_on[l.0 as usize] += f.weight;
+                // For unit weights this is the integer count, exactly what
+                // adding 1.0 per flow gives.
+                let w = f64::from(c.count) * c.weight;
+                for l in &c.links {
+                    self.weight_on[l.0 as usize] += w;
                 }
             }
             if !any_unfrozen {
@@ -409,15 +508,14 @@ impl FluidSystem {
 
             // Bottleneck level over resources and flow caps.
             let mut lambda = f64::INFINITY;
-            for r in 0..n_res {
-                if weight_on[r] > 0.0 {
-                    let level = (self.resources[r].capacity - used[r]).max(0.0) / weight_on[r];
-                    lambda = lambda.min(level);
+            for ((res, used), w) in self.resources.iter().zip(&self.used).zip(&self.weight_on) {
+                if *w > 0.0 {
+                    lambda = lambda.min((res.capacity - used).max(0.0) / w);
                 }
             }
-            for (i, f) in self.iter_flows() {
-                if !frozen[i as usize] && f.max_rate.is_finite() {
-                    lambda = lambda.min(f.max_rate / f.weight);
+            for (c, _) in self.classes.iter().zip(&self.frozen).filter(|(_, f)| !**f) {
+                if c.max_rate.is_finite() {
+                    lambda = lambda.min(c.max_rate / c.weight);
                 }
             }
             assert!(
@@ -425,43 +523,35 @@ impl FluidSystem {
                 "unfrozen flow with no binding constraint (flow without links?)"
             );
 
-            // Freeze every flow touching a resource saturated at `lambda`,
-            // and every flow whose cap equals `lambda`.
+            // Freeze every class touching a resource saturated at `lambda`,
+            // and every class whose cap equals `lambda`.
             let tol = 1e-12 + lambda * 1e-12;
-            let mut saturated = vec![false; n_res];
             for r in 0..n_res {
-                if weight_on[r] > 0.0 {
-                    let level = (self.resources[r].capacity - used[r]).max(0.0) / weight_on[r];
-                    saturated[r] = level <= lambda + tol;
-                }
+                let w = self.weight_on[r];
+                self.saturated[r] = w > 0.0
+                    && (self.resources[r].capacity - self.used[r]).max(0.0) / w <= lambda + tol;
             }
             let mut froze_any = false;
-            let ids: Vec<u32> = self.iter_flows().map(|(i, _)| i).collect();
-            for i in ids {
-                if frozen[i as usize] {
+            for (c, frozen) in self.classes.iter_mut().zip(self.frozen.iter_mut()) {
+                if *frozen {
                     continue;
                 }
-                let Some(f) = self.flow_by_idx(i) else {
-                    continue;
-                };
-                let (hits_saturated, capped, weight, max_rate, links) = (
-                    f.links.iter().any(|l| saturated[l.0 as usize]),
-                    f.max_rate.is_finite() && f.max_rate / f.weight <= lambda + tol,
-                    f.weight,
-                    f.max_rate,
-                    f.links.clone(),
-                );
+                let hits_saturated = c.links.iter().any(|l| self.saturated[l.0 as usize]);
+                let capped = c.max_rate.is_finite() && c.max_rate / c.weight <= lambda + tol;
                 if hits_saturated || capped {
-                    let rate = if capped && !hits_saturated {
-                        max_rate
+                    c.rate = if capped && !hits_saturated {
+                        c.max_rate
                     } else {
-                        weight * lambda
+                        c.weight * lambda
                     };
-                    self.set_rate_by_idx(i, rate);
-                    for l in &links {
-                        used[l.0 as usize] += rate;
+                    // One addition per flow, as a flow-by-flow solve does.
+                    for l in &c.links {
+                        let used = &mut self.used[l.0 as usize];
+                        for _ in 0..c.count {
+                            *used += c.rate;
+                        }
                     }
-                    frozen[i as usize] = true;
+                    *frozen = true;
                     froze_any = true;
                 }
             }
@@ -476,17 +566,27 @@ impl FluidSystem {
     pub fn next_completion(&mut self) -> Option<(FlowId, Time)> {
         self.ensure_rates();
         let mut best: Option<(FlowId, Time)> = None;
-        for (id, f) in self.iter_flows_with_id() {
-            let dt = if f.remaining <= EPS {
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let Slot::Occupied { gen, flow } = slot else {
+                continue;
+            };
+            let rate = self.rate_of(flow);
+            let dt = if flow.remaining <= EPS {
                 0.0
-            } else if f.rate > RATE_EPS {
-                f.remaining / f.rate
+            } else if rate > RATE_EPS {
+                flow.remaining / rate
             } else {
                 continue;
             };
             match best {
                 Some((_, bdt)) if bdt <= dt => {}
-                _ => best = Some((id, dt)),
+                _ => {
+                    let id = FlowId {
+                        idx: idx as u32,
+                        gen: *gen,
+                    };
+                    best = Some((id, dt));
+                }
             }
         }
         best
@@ -504,16 +604,18 @@ impl FluidSystem {
         assert!(dt >= 0.0, "cannot advance by negative time");
         self.ensure_rates();
         let mut done = Vec::new();
-        for idx in 0..self.slots.len() as u32 {
-            let (finished, gen, tag) = match &mut self.slots[idx as usize] {
-                Slot::Occupied { gen, flow } => {
-                    flow.remaining = (flow.remaining - flow.rate * dt).max(0.0);
-                    (flow.remaining <= EPS, *gen, flow.tag)
-                }
-                Slot::Vacant { .. } => continue,
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            let Slot::Occupied { gen, flow } = slot else {
+                continue;
             };
-            if finished {
-                done.push((FlowId { idx, gen }, tag));
+            let rate = self.classes[flow.class as usize].rate;
+            flow.remaining = (flow.remaining - rate * dt).max(0.0);
+            if flow.remaining <= EPS {
+                let id = FlowId {
+                    idx: idx as u32,
+                    gen: *gen,
+                };
+                done.push((id, flow.tag));
             }
         }
         for (id, _) in &done {
@@ -523,6 +625,9 @@ impl FluidSystem {
         done
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -743,6 +848,179 @@ mod tests {
         assert_eq!(sys.capacity(foreign), 0.0);
         assert_eq!(sys.resource_name(foreign), None);
         assert_eq!(sys.resource_name(r), Some("link"));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow max_rate must be non-negative")]
+    fn negative_max_rate_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec {
+            max_rate: -4.0,
+            ..FlowSpec::new(vec![r], 1.0, 0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "flow max_rate must be non-negative")]
+    fn nan_max_rate_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec {
+            max_rate: f64::NAN,
+            ..FlowSpec::new(vec![r], 1.0, 0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "flow volume must be finite and non-negative")]
+    fn infinite_volume_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec::new(vec![r], f64::INFINITY, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow volume must be finite and non-negative")]
+    fn nan_volume_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec::new(vec![r], f64::NAN, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow weight must be positive and finite")]
+    fn infinite_weight_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec {
+            weight: f64::INFINITY,
+            ..FlowSpec::new(vec![r], 1.0, 0)
+        });
+    }
+
+    /// `wide` (100) carries a long flow alone and a short one shared with
+    /// `narrow` (30): the short flow gets 30 and the long one the other 70.
+    /// Rates and totals are queried, so both are cached before each test
+    /// mutates the system.
+    fn cached_pair() -> (FluidSystem, [ResourceId; 2], [FlowId; 2]) {
+        let mut sys = FluidSystem::new();
+        let wide = sys.add_resource(100.0, "wide");
+        let narrow = sys.add_resource(30.0, "narrow");
+        let long = sys.start_flow(FlowSpec::new(vec![wide], 1e6, 1));
+        let short = sys.start_flow(FlowSpec::new(vec![wide, narrow], 3.0, 2));
+        assert_eq!(sys.flow_rate(long), Some(70.0));
+        assert_eq!(sys.flow_rate(short), Some(30.0));
+        assert_eq!(sys.total_rate_on(wide), 100.0);
+        assert_eq!(sys.total_rate_on(narrow), 30.0);
+        (sys, [wide, narrow], [long, short])
+    }
+
+    /// After the short flow is gone the long one owns `wide` and `narrow`
+    /// is idle.
+    fn assert_short_flow_gone(
+        sys: &mut FluidSystem,
+        [wide, narrow]: [ResourceId; 2],
+        long: FlowId,
+    ) {
+        assert_eq!(sys.flow_rate(long), Some(100.0));
+        assert_eq!(sys.total_rate_on(wide), 100.0);
+        assert_eq!(sys.total_rate_on(narrow), 0.0);
+        assert_eq!(sys.utilization(narrow), 0.0);
+    }
+
+    #[test]
+    fn set_capacity_invalidates_cached_rates_and_totals() {
+        let (mut sys, [wide, narrow], [long, short]) = cached_pair();
+        sys.set_capacity(narrow, 10.0).unwrap();
+        assert_eq!(sys.flow_rate(short), Some(10.0));
+        assert_eq!(sys.flow_rate(long), Some(90.0));
+        assert_eq!(sys.total_rate_on(narrow), 10.0);
+        sys.set_capacity(wide, 50.0).unwrap();
+        assert_eq!(sys.total_rate_on(wide), 50.0);
+        assert_eq!(sys.flow_rate(long), Some(40.0));
+    }
+
+    #[test]
+    fn cancel_flow_invalidates_cached_rates_and_totals() {
+        let (mut sys, rids, [long, short]) = cached_pair();
+        assert_eq!(sys.cancel_flow(short), Some(3.0));
+        assert_short_flow_gone(&mut sys, rids, long);
+    }
+
+    #[test]
+    fn cancel_flows_where_invalidates_cached_rates_and_totals() {
+        let (mut sys, rids, [long, _]) = cached_pair();
+        assert_eq!(sys.cancel_flows_where(|t| t == 2), vec![(2, 3.0)]);
+        assert_short_flow_gone(&mut sys, rids, long);
+    }
+
+    #[test]
+    fn completing_advance_invalidates_cached_rates_and_totals() {
+        let (mut sys, rids, [long, short]) = cached_pair();
+        // A partial advance completes nothing and keeps the rates.
+        assert!(sys.advance(0.05).is_empty());
+        assert_eq!(sys.flow_rate(short), Some(30.0));
+        let (next, dt) = sys.next_completion().unwrap();
+        assert_eq!(next, short);
+        assert_eq!(sys.advance(dt), vec![(short, 2)]);
+        assert_short_flow_gone(&mut sys, rids, long);
+    }
+
+    #[test]
+    fn add_resource_mid_run_invalidates_cached_totals() {
+        let (mut sys, [wide, _], [long, short]) = cached_pair();
+        let extra = sys.add_resource(20.0, "extra");
+        assert_eq!(sys.total_rate_on(extra), 0.0);
+        assert_eq!(sys.total_rate_on(wide), 100.0);
+        let f = sys.start_flow(FlowSpec::new(vec![wide, extra], 1.0, 3));
+        assert_eq!(sys.flow_rate(f), Some(20.0));
+        assert_eq!(sys.flow_rate(short), Some(30.0));
+        assert_eq!(sys.flow_rate(long), Some(50.0));
+        assert_eq!(sys.total_rate_on(extra), 20.0);
+    }
+
+    #[test]
+    fn emptied_class_gets_its_rate_back_when_refilled() {
+        let (mut sys, [wide, narrow], [long, short]) = cached_pair();
+        sys.cancel_flow(short);
+        assert_eq!(sys.flow_rate(long), Some(100.0));
+        // A flow of another link set may take the recycled class entry.
+        let alone = sys.start_flow(FlowSpec::new(vec![narrow], 1e6, 3));
+        assert_eq!(sys.flow_rate(alone), Some(30.0));
+        // Refill the emptied link set: three flows cross `wide`, and the
+        // refilled class and `alone` split `narrow`.
+        let again = sys.start_flow(FlowSpec::new(vec![wide, narrow], 1e6, 4));
+        let twin = sys.start_flow(FlowSpec::new(vec![wide], 1e6, 5));
+        assert_eq!(sys.flow_rate(again), Some(15.0));
+        assert_eq!(sys.flow_rate(alone), Some(15.0));
+        assert_eq!(sys.flow_rate(long), Some(42.5));
+        assert_eq!(sys.flow_rate(twin), Some(42.5));
+        assert_eq!(sys.total_rate_on(wide), 100.0);
+        assert_eq!(sys.total_rate_on(narrow), 30.0);
+    }
+
+    #[test]
+    fn class_table_stays_bounded_under_churn() {
+        let mut sys = FluidSystem::new();
+        let rids: Vec<_> = (0..64)
+            .map(|i| sys.add_resource(10.0, format!("r{i}")))
+            .collect();
+        let keep = sys.start_flow(FlowSpec::new(vec![rids[0]], 1e9, 0));
+        // 63 link sets, each used once: every emptied class's entry is
+        // reused instead of growing the table.
+        for (i, r) in rids.iter().enumerate().skip(1) {
+            let f = sys.start_flow(FlowSpec::new(vec![*r], 1.0, i as u64));
+            assert_eq!(sys.flow_rate(f), Some(10.0));
+            sys.cancel_flow(f);
+        }
+        assert!(
+            sys.classes.len() <= 2,
+            "{} class entries",
+            sys.classes.len()
+        );
+        assert_eq!(sys.flow_rate(keep), Some(10.0));
+        assert_eq!(sys.total_rate_on(rids[63]), 0.0);
     }
 
     #[test]
