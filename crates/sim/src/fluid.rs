@@ -19,13 +19,18 @@
 //! Two flows with the same sorted link set, weight and `max_rate` are
 //! indistinguishable to progressive filling, so they always get the same
 //! rate. The solver therefore works on *classes* keyed by
-//! `(links, weight, max_rate)`: a class holds its live-flow count and one
-//! rate, and a flow holds only its class index, remaining volume and tag.
-//! Each filling round walks the classes, not the flows; in a PS star with
-//! `n` workers and one PS that is `n + 1` classes however many chunks are
-//! in flight. A class whose last flow leaves is unmapped and its entry
-//! recycled, so the class table never outgrows the peak number of live link
-//! sets. Solver scratch buffers live in the system and are reused across
+//! `(links, weight, max_rate)`. A class stores its flows' remaining volumes
+//! and slot indices in two parallel vectors, plus the smallest remaining
+//! volume and one rate. A flow's slot holds only its class, its position in
+//! the class and its tag; releasing a flow swap-removes it from its class,
+//! and slots and the free list are allocated as a flow-by-flow solver would,
+//! so every [`FlowId`] is the same. A dense list of live classes, and per
+//! resource the live classes crossing it, drive every walk: an engine event
+//! costs O(live classes) plus one drain over the remaining volumes. In a PS
+//! star with `n` workers and one PS that is `n + 1` classes however many
+//! chunks are in flight. A class whose last flow leaves is unmapped and its
+//! entry recycled, so the class table never outgrows the peak number of live
+//! link sets. Solver scratch buffers live in the system and are reused across
 //! solves.
 //!
 //! # Exact-order contract
@@ -34,12 +39,23 @@
 //! results are bit-identical to progressive filling run flow by flow:
 //!
 //! * per-resource weights are integer counts, which sum exactly in any order;
-//! * a round that freezes `k` flows of a class adds their rate to each of
-//!   their resources `k` times, one flow at a time, never `k × rate`;
-//! * [`FluidSystem::total_rate_on`] sums flow rates in slot order, once per
-//!   solve, and then answers in O(1);
-//! * [`FluidSystem::next_completion`] and [`FluidSystem::advance`] walk the
-//!   flows in slot order, so ties break as before.
+//! * every class frozen in one filling round has the same rate, `λ`, so the
+//!   order of their `used += λ` additions does not matter; each class adds
+//!   `λ` once per flow, never `k × λ`, and only to resources a later round
+//!   still reads. A resource that saturates carries no unfrozen weight
+//!   afterwards, so what it has used is never read again;
+//! * [`FluidSystem::advance`] computes `d = rate × dt` once per class, the
+//!   same product every flow computed, and drains each volume with
+//!   `r = (r − d).max(0)`;
+//! * subtracting one `d` and dividing by one positive rate are both monotone,
+//!   so a class's smallest volume stays its smallest through a drain and
+//!   gives its earliest completion; [`FluidSystem::next_completion`] then
+//!   picks, among the classes that reach the earliest time, the lowest slot
+//!   whose own quotient equals it, which is what a slot walk picks;
+//! * [`FluidSystem::total_rate_on`] equals the sum over the resource's flows
+//!   in slot order from `-0.0`. When every class on the resource has the
+//!   same rate bits, that sum is `k` sequential additions of the rate and no
+//!   slot order is needed; otherwise it sorts the resource's flows by slot.
 //!
 //! Weighted or capped classes may sum in a different order than a flow-by-flow
 //! solve and agree with it to rounding (1e-9 relative is tested).
@@ -50,6 +66,7 @@
 //! clocks change the floating-point rounding of every completion time.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{Time, EPS};
 
@@ -113,34 +130,99 @@ struct Resource {
     name: String,
 }
 
-#[derive(Debug, Clone)]
-struct Flow {
-    /// Index into [`FluidSystem::classes`]; the flow's rate is its class's.
-    class: u32,
-    remaining: f64,
-    /// Opaque caller payload, returned on completion.
-    tag: u64,
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Slot {
-    Occupied { gen: u32, flow: Flow },
-    Vacant { gen: u32 },
+    Occupied {
+        gen: u32,
+        /// Index into [`FluidSystem::classes`]; the flow's rate is its class's.
+        class: u32,
+        /// Position in the class's `remaining` and `slots`.
+        pos: u32,
+        /// Opaque caller payload, returned on completion.
+        tag: u64,
+    },
+    Vacant {
+        gen: u32,
+    },
 }
 
 /// `(sorted links, weight bits, max_rate bits)`: flows with equal keys
 /// always share one rate.
 type ClassKey = (Vec<ResourceId>, u64, u64);
 
+/// Multiply-rotate hashing of [`ClassKey`]s (rustc's FxHash scheme). Every
+/// flow start looks its key up, and the keys are resource ids this system
+/// has validated, so SipHash's protection against crafted collisions buys
+/// nothing here.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The live flows of one link-set class and their common rate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Class {
     links: Vec<ResourceId>,
     weight: f64,
     max_rate: f64,
-    /// Live flows in the class; 0 marks a recycled entry.
-    count: u32,
     rate: f64,
+    /// Remaining volume of each flow, parallel to `slots`; empty marks a
+    /// recycled entry.
+    remaining: Vec<f64>,
+    /// Slot index of each flow.
+    slots: Vec<u32>,
+    /// The smallest of `remaining`; `None` until rescanned after the flow
+    /// holding it left.
+    min_remaining: Option<f64>,
+    /// Position in [`FluidSystem::live`].
+    live_pos: u32,
+}
+
+impl Class {
+    /// When the class's first flow completes, or `None` if it is stalled:
+    /// [`completion_time`] is monotone in the volume, so this is the time of
+    /// the smallest remaining volume.
+    fn first_completion(&mut self) -> Option<Time> {
+        let remaining = &self.remaining;
+        let min = *self
+            .min_remaining
+            .get_or_insert_with(|| remaining.iter().copied().fold(f64::INFINITY, f64::min));
+        completion_time(min, self.rate)
+    }
+}
+
+/// When a flow with `remaining` volume at `rate` completes, or `None` if it
+/// is stalled.
+fn completion_time(remaining: f64, rate: f64) -> Option<Time> {
+    if remaining <= EPS {
+        Some(0.0)
+    } else if rate > RATE_EPS {
+        Some(remaining / rate)
+    } else {
+        None
+    }
 }
 
 /// Parameters for starting a flow. See [`FluidSystem::start_flow`].
@@ -200,19 +282,24 @@ pub struct FluidSystem {
     free: Vec<u32>,
     active: usize,
     classes: Vec<Class>,
-    class_of: HashMap<ClassKey, u32>,
+    class_of: HashMap<ClassKey, u32, BuildHasherDefault<KeyHasher>>,
     /// Recycled entries, reused by new link sets.
     free_classes: Vec<u32>,
+    /// Indices of the classes with flows.
+    live: Vec<u32>,
+    /// Per resource, the live classes crossing it.
+    classes_on: Vec<Vec<u32>>,
     /// Rates must be re-solved before the next query.
     dirty: bool,
-    /// Per-resource rate totals, valid while `!totals_stale`.
-    totals: Vec<f64>,
-    totals_stale: bool,
-    // Solver scratch, reused across solves.
+    // Scratch, reused across calls.
     used: Vec<f64>,
     weight_on: Vec<f64>,
-    saturated: Vec<bool>,
-    frozen: Vec<bool>,
+    level: Vec<f64>,
+    active_res: Vec<u32>,
+    unfrozen: Vec<u32>,
+    just_frozen: Vec<u32>,
+    tied: Vec<u32>,
+    crossing: Vec<(u32, f64)>,
 }
 
 impl FluidSystem {
@@ -232,6 +319,7 @@ impl FluidSystem {
             capacity,
             name: name.into(),
         });
+        self.classes_on.push(Vec::new());
         self.dirty = true;
         id
     }
@@ -314,26 +402,31 @@ impl FluidSystem {
             );
         }
         let class = self.class_for((links, spec.weight.to_bits(), spec.max_rate.to_bits()));
-        self.classes[class as usize].count += 1;
-        let flow = Flow {
+        let (idx, gen) = match self.free.pop() {
+            Some(idx) => match self.slots[idx as usize] {
+                Slot::Vacant { gen } => (idx, gen),
+                Slot::Occupied { .. } => unreachable!("free list held an occupied slot"),
+            },
+            None => {
+                self.slots.push(Slot::Vacant { gen: 0 });
+                ((self.slots.len() - 1) as u32, 0)
+            }
+        };
+        let c = &mut self.classes[class as usize];
+        self.slots[idx as usize] = Slot::Occupied {
+            gen,
             class,
-            remaining: spec.volume,
+            pos: c.remaining.len() as u32,
             tag: spec.tag,
         };
+        c.remaining.push(spec.volume);
+        c.slots.push(idx);
+        if let Some(m) = &mut c.min_remaining {
+            *m = m.min(spec.volume);
+        }
         self.active += 1;
         self.dirty = true;
-        if let Some(idx) = self.free.pop() {
-            let gen = match self.slots[idx as usize] {
-                Slot::Vacant { gen } => gen,
-                Slot::Occupied { .. } => unreachable!("free list held an occupied slot"),
-            };
-            self.slots[idx as usize] = Slot::Occupied { gen, flow };
-            FlowId { idx, gen }
-        } else {
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot::Occupied { gen: 0, flow });
-            FlowId { idx, gen: 0 }
-        }
+        FlowId { idx, gen }
     }
 
     /// The class for `key`, registering it (in a recycled entry if one is
@@ -342,42 +435,40 @@ impl FluidSystem {
         if let Some(&c) = self.class_of.get(&key) {
             return c;
         }
-        let class = Class {
-            links: key.0.clone(),
-            weight: f64::from_bits(key.1),
-            max_rate: f64::from_bits(key.2),
-            count: 0,
-            rate: 0.0,
-        };
-        let c = match self.free_classes.pop() {
-            Some(c) => {
-                self.classes[c as usize] = class;
-                c
-            }
-            None => {
-                self.classes.push(class);
-                (self.classes.len() - 1) as u32
-            }
-        };
+        let c = self.free_classes.pop().unwrap_or_else(|| {
+            self.classes.push(Class::default());
+            (self.classes.len() - 1) as u32
+        });
+        // A recycled entry keeps its emptied vectors' capacity.
+        let class = &mut self.classes[c as usize];
+        class.links.clone_from(&key.0);
+        class.weight = f64::from_bits(key.1);
+        class.max_rate = f64::from_bits(key.2);
+        class.rate = 0.0;
+        class.min_remaining = Some(f64::INFINITY);
+        class.live_pos = self.live.len() as u32;
+        self.live.push(c);
+        for l in &key.0 {
+            self.classes_on[l.0 as usize].push(c);
+        }
         self.class_of.insert(key, c);
         c
     }
 
-    fn get(&self, id: FlowId) -> Option<&Flow> {
-        match self.slots.get(id.idx as usize)? {
-            Slot::Occupied { gen, flow } if *gen == id.gen => Some(flow),
+    /// `(class, position)` of a live flow.
+    fn get(&self, id: FlowId) -> Option<(usize, usize)> {
+        match *self.slots.get(id.idx as usize)? {
+            Slot::Occupied {
+                gen, class, pos, ..
+            } if gen == id.gen => Some((class as usize, pos as usize)),
             _ => None,
         }
-    }
-
-    fn rate_of(&self, flow: &Flow) -> f64 {
-        self.classes[flow.class as usize].rate
     }
 
     /// Removes a flow before completion. Returns its remaining volume, or
     /// `None` if the id is stale.
     pub fn cancel_flow(&mut self, id: FlowId) -> Option<f64> {
-        let remaining = self.get(id)?.remaining;
+        let remaining = self.flow_remaining(id)?;
         self.release(id.idx);
         crate::obs::flows_dropped(1);
         Some(remaining)
@@ -390,9 +481,12 @@ impl FluidSystem {
     pub fn cancel_flows_where(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<(u64, f64)> {
         let mut cancelled = Vec::new();
         for idx in 0..self.slots.len() as u32 {
-            if let Slot::Occupied { flow, .. } = &self.slots[idx as usize] {
-                if pred(flow.tag) {
-                    cancelled.push((flow.tag, flow.remaining));
+            if let Slot::Occupied {
+                class, pos, tag, ..
+            } = self.slots[idx as usize]
+            {
+                if pred(tag) {
+                    cancelled.push((tag, self.classes[class as usize].remaining[pos as usize]));
                     self.release(idx);
                 }
             }
@@ -402,25 +496,46 @@ impl FluidSystem {
     }
 
     fn release(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        if let Slot::Occupied { gen, flow } = slot {
-            let c = flow.class;
-            *slot = Slot::Vacant {
-                gen: gen.wrapping_add(1),
-            };
-            self.free.push(idx);
-            self.active -= 1;
-            self.dirty = true;
-            let class = &mut self.classes[c as usize];
-            class.count -= 1;
-            if class.count == 0 {
-                let key = (
-                    std::mem::take(&mut class.links),
-                    class.weight.to_bits(),
-                    class.max_rate.to_bits(),
-                );
-                self.class_of.remove(&key);
-                self.free_classes.push(c);
+        let Slot::Occupied {
+            gen, class: c, pos, ..
+        } = self.slots[idx as usize]
+        else {
+            return;
+        };
+        self.slots[idx as usize] = Slot::Vacant {
+            gen: gen.wrapping_add(1),
+        };
+        self.free.push(idx);
+        self.active -= 1;
+        self.dirty = true;
+        let class = &mut self.classes[c as usize];
+        let r = class.remaining.swap_remove(pos as usize);
+        class.slots.swap_remove(pos as usize);
+        if class.min_remaining.is_some_and(|m| r <= m) {
+            class.min_remaining = None;
+        }
+        if let Some(&moved) = class.slots.get(pos as usize) {
+            if let Slot::Occupied { pos: p, .. } = &mut self.slots[moved as usize] {
+                *p = pos;
+            }
+        } else if class.slots.is_empty() {
+            let key = (
+                std::mem::take(&mut class.links),
+                class.weight.to_bits(),
+                class.max_rate.to_bits(),
+            );
+            let live_pos = class.live_pos as usize;
+            for l in &key.0 {
+                let on = &mut self.classes_on[l.0 as usize];
+                if let Some(i) = on.iter().position(|&x| x == c) {
+                    on.swap_remove(i);
+                }
+            }
+            self.class_of.remove(&key);
+            self.free_classes.push(c);
+            self.live.swap_remove(live_pos);
+            if let Some(&moved) = self.live.get(live_pos) {
+                self.classes[moved as usize].live_pos = live_pos as u32;
             }
         }
     }
@@ -428,31 +543,42 @@ impl FluidSystem {
     /// Current max-min rate of `id`, or `None` if the flow is gone.
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.get(id).map(|f| self.rate_of(f))
+        self.get(id).map(|(c, _)| self.classes[c].rate)
     }
 
     /// Remaining volume of `id`, or `None` if the flow is gone.
     pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        self.get(id).map(|f| f.remaining)
+        self.get(id).map(|(c, pos)| self.classes[c].remaining[pos])
     }
 
     /// Sum of current flow rates through `r` (≤ capacity).
     pub fn total_rate_on(&mut self, r: ResourceId) -> f64 {
         self.ensure_rates();
-        if self.totals_stale {
-            self.totals_stale = false;
-            self.totals.clear();
-            self.totals.resize(self.resources.len(), NO_RATE);
-            for slot in &self.slots {
-                if let Slot::Occupied { flow, .. } = slot {
-                    let class = &self.classes[flow.class as usize];
-                    for l in &class.links {
-                        self.totals[l.0 as usize] += class.rate;
-                    }
-                }
-            }
+        let on: &[u32] = self.classes_on.get(r.0 as usize).map_or(&[], |v| v);
+        let mut k = 0;
+        let mut rate: Option<f64> = None;
+        let mut mixed = false;
+        for &c in on {
+            let class = &self.classes[c as usize];
+            k += class.slots.len();
+            mixed |= rate.is_some_and(|x| x.to_bits() != class.rate.to_bits());
+            rate = Some(class.rate);
         }
-        self.totals.get(r.0 as usize).copied().unwrap_or(NO_RATE)
+        if !mixed {
+            // The slot-order sum of `k` equal rates.
+            let rate = rate.unwrap_or(NO_RATE);
+            return (0..k).fold(NO_RATE, |total, _| total + rate);
+        }
+        self.crossing.clear();
+        for &c in on {
+            let class = &self.classes[c as usize];
+            self.crossing
+                .extend(class.slots.iter().map(|&s| (s, class.rate)));
+        }
+        self.crossing.sort_unstable_by_key(|&(s, _)| s);
+        self.crossing
+            .iter()
+            .fold(NO_RATE, |total, &(_, rate)| total + rate)
     }
 
     /// Instantaneous utilization of `r` in `[0, 1]` (0 for zero-capacity
@@ -478,45 +604,65 @@ impl FluidSystem {
             return;
         }
         self.dirty = false;
-        self.totals_stale = true;
 
         let n_res = self.resources.len();
-        self.used.clear();
-        self.used.resize(n_res, 0.0); // rate already frozen on each resource
-        self.weight_on.resize(n_res, 0.0);
-        self.saturated.resize(n_res, false);
-        self.frozen.clear();
-        self.frozen
-            .extend(self.classes.iter().map(|c| c.count == 0));
+        for v in [&mut self.used, &mut self.weight_on] {
+            v.clear();
+            v.resize(n_res, 0.0);
+        }
+        self.level.resize(n_res, f64::INFINITY);
+        self.active_res.clear();
+        self.unfrozen.clear();
+        self.unfrozen.extend_from_slice(&self.live);
+        self.just_frozen.clear();
 
-        loop {
-            // Aggregate unfrozen weight per resource.
-            self.weight_on.fill(0.0);
-            let mut any_unfrozen = false;
-            for (c, _) in self.classes.iter().zip(&self.frozen).filter(|(_, f)| !**f) {
-                any_unfrozen = true;
+        while !self.unfrozen.is_empty() {
+            // Unfrozen weight per resource, and the lowest flow cap.
+            for &r in &self.active_res {
+                self.weight_on[r as usize] = 0.0;
+            }
+            self.active_res.clear();
+            let mut lambda = f64::INFINITY;
+            for &c in &self.unfrozen {
+                let c = &self.classes[c as usize];
                 // For unit weights this is the integer count, exactly what
                 // adding 1.0 per flow gives.
-                let w = f64::from(c.count) * c.weight;
+                let w = c.remaining.len() as f64 * c.weight;
                 for l in &c.links {
-                    self.weight_on[l.0 as usize] += w;
+                    let on = &mut self.weight_on[l.0 as usize];
+                    if *on == 0.0 {
+                        self.active_res.push(l.0);
+                    }
+                    *on += w;
                 }
-            }
-            if !any_unfrozen {
-                break;
-            }
-
-            // Bottleneck level over resources and flow caps.
-            let mut lambda = f64::INFINITY;
-            for ((res, used), w) in self.resources.iter().zip(&self.used).zip(&self.weight_on) {
-                if *w > 0.0 {
-                    lambda = lambda.min((res.capacity - used).max(0.0) / w);
-                }
-            }
-            for (c, _) in self.classes.iter().zip(&self.frozen).filter(|(_, f)| !**f) {
                 if c.max_rate.is_finite() {
                     lambda = lambda.min(c.max_rate / c.weight);
                 }
+            }
+
+            // Charge the last round's freezes to the resources this round
+            // still reads, one addition per flow as a flow-by-flow solve
+            // does.
+            for &c in &self.just_frozen {
+                let c = &self.classes[c as usize];
+                for l in &c.links {
+                    if self.weight_on[l.0 as usize] > 0.0 {
+                        let used = &mut self.used[l.0 as usize];
+                        for _ in 0..c.remaining.len() {
+                            *used += c.rate;
+                        }
+                    }
+                }
+            }
+            self.just_frozen.clear();
+
+            // Bottleneck level over the loaded resources and flow caps.
+            for &r in &self.active_res {
+                let r = r as usize;
+                let level =
+                    (self.resources[r].capacity - self.used[r]).max(0.0) / self.weight_on[r];
+                self.level[r] = level;
+                lambda = lambda.min(level);
             }
             assert!(
                 lambda.is_finite(),
@@ -526,17 +672,14 @@ impl FluidSystem {
             // Freeze every class touching a resource saturated at `lambda`,
             // and every class whose cap equals `lambda`.
             let tol = 1e-12 + lambda * 1e-12;
-            for r in 0..n_res {
-                let w = self.weight_on[r];
-                self.saturated[r] = w > 0.0
-                    && (self.resources[r].capacity - self.used[r]).max(0.0) / w <= lambda + tol;
-            }
-            let mut froze_any = false;
-            for (c, frozen) in self.classes.iter_mut().zip(self.frozen.iter_mut()) {
-                if *frozen {
-                    continue;
-                }
-                let hits_saturated = c.links.iter().any(|l| self.saturated[l.0 as usize]);
+            let mut kept = 0;
+            for i in 0..self.unfrozen.len() {
+                let ci = self.unfrozen[i];
+                let c = &mut self.classes[ci as usize];
+                let hits_saturated = c
+                    .links
+                    .iter()
+                    .any(|l| self.level[l.0 as usize] <= lambda + tol);
                 let capped = c.max_rate.is_finite() && c.max_rate / c.weight <= lambda + tol;
                 if hits_saturated || capped {
                     c.rate = if capped && !hits_saturated {
@@ -544,18 +687,17 @@ impl FluidSystem {
                     } else {
                         c.weight * lambda
                     };
-                    // One addition per flow, as a flow-by-flow solve does.
-                    for l in &c.links {
-                        let used = &mut self.used[l.0 as usize];
-                        for _ in 0..c.count {
-                            *used += c.rate;
-                        }
-                    }
-                    *frozen = true;
-                    froze_any = true;
+                    self.just_frozen.push(ci);
+                } else {
+                    self.unfrozen[kept] = ci;
+                    kept += 1;
                 }
             }
-            assert!(froze_any, "progressive filling failed to make progress");
+            self.unfrozen.truncate(kept);
+            assert!(
+                !self.just_frozen.is_empty(),
+                "progressive filling failed to make progress"
+            );
         }
     }
 
@@ -565,31 +707,34 @@ impl FluidSystem {
     /// [`FluidSystem::is_stalled`] to distinguish).
     pub fn next_completion(&mut self) -> Option<(FlowId, Time)> {
         self.ensure_rates();
-        let mut best: Option<(FlowId, Time)> = None;
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let Slot::Occupied { gen, flow } = slot else {
-                continue;
-            };
-            let rate = self.rate_of(flow);
-            let dt = if flow.remaining <= EPS {
-                0.0
-            } else if rate > RATE_EPS {
-                flow.remaining / rate
-            } else {
-                continue;
-            };
-            match best {
-                Some((_, bdt)) if bdt <= dt => {}
-                _ => {
-                    let id = FlowId {
-                        idx: idx as u32,
-                        gen: *gen,
-                    };
-                    best = Some((id, dt));
+        let mut best = f64::INFINITY;
+        self.tied.clear();
+        for &c in &self.live {
+            match self.classes[c as usize].first_completion() {
+                Some(dt) if dt < best => {
+                    best = dt;
+                    self.tied.clear();
+                    self.tied.push(c);
+                }
+                Some(dt) if dt == best => self.tied.push(c),
+                _ => {}
+            }
+        }
+        // The lowest slot whose own completion time is `best`, among the
+        // classes that reach it.
+        let mut idx = u32::MAX;
+        for &c in &self.tied {
+            let class = &self.classes[c as usize];
+            for (&r, &s) in class.remaining.iter().zip(&class.slots) {
+                if s < idx && completion_time(r, class.rate) == Some(best) {
+                    idx = s;
                 }
             }
         }
-        best
+        match *self.slots.get(idx as usize)? {
+            Slot::Occupied { gen, .. } => Some((FlowId { idx, gen }, best)),
+            Slot::Vacant { .. } => unreachable!("the earliest completion belongs to a live flow"),
+        }
     }
 
     /// True if there are active flows but none can progress.
@@ -600,24 +745,38 @@ impl FluidSystem {
     /// Advances time by `dt`, draining every flow at its current rate.
     /// Returns the `(id, tag)` of flows that completed, in slot order
     /// (deterministic).
+    ///
+    /// # Panics
+    ///
+    /// If `dt` is negative, NaN or infinite.
     pub fn advance(&mut self, dt: Time) -> Vec<(FlowId, u64)> {
-        assert!(dt >= 0.0, "cannot advance by negative time");
+        assert!(
+            dt >= 0.0 && dt.is_finite(),
+            "advance needs a finite, non-negative dt, got {dt}"
+        );
         self.ensure_rates();
         let mut done = Vec::new();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Slot::Occupied { gen, flow } = slot else {
+        for &c in &self.live {
+            let class = &mut self.classes[c as usize];
+            let d = class.rate * dt;
+            for r in &mut class.remaining {
+                *r = (*r - d).max(0.0);
+            }
+            // The drain is monotone, so the smallest volume stays smallest.
+            class.min_remaining = class.min_remaining.map(|m| (m - d).max(0.0));
+            if class.min_remaining.is_some_and(|m| m > EPS) {
                 continue;
-            };
-            let rate = self.classes[flow.class as usize].rate;
-            flow.remaining = (flow.remaining - rate * dt).max(0.0);
-            if flow.remaining <= EPS {
-                let id = FlowId {
-                    idx: idx as u32,
-                    gen: *gen,
-                };
-                done.push((id, flow.tag));
+            }
+            for (&r, &s) in class.remaining.iter().zip(&class.slots) {
+                if r <= EPS {
+                    let Slot::Occupied { gen, tag, .. } = self.slots[s as usize] else {
+                        unreachable!("a class holds only live slots");
+                    };
+                    done.push((FlowId { idx: s, gen }, tag));
+                }
             }
         }
+        done.sort_unstable_by_key(|(id, _)| id.idx);
         for (id, _) in &done {
             self.release(id.idx);
         }
@@ -1021,6 +1180,106 @@ mod tests {
         );
         assert_eq!(sys.flow_rate(keep), Some(10.0));
         assert_eq!(sys.total_rate_on(rids[63]), 0.0);
+    }
+
+    #[test]
+    fn completion_ties_across_classes_go_to_the_lowest_slot() {
+        let mut sys = FluidSystem::new();
+        let a = sys.add_resource(10.0, "a");
+        let b = sys.start_flow(FlowSpec::new(vec![a], 100.0, 0));
+        let narrow = sys.add_resource(5.0, "narrow");
+        // `a`'s class is live first but its tying flow has the higher slot.
+        let low = sys.start_flow(FlowSpec::new(vec![narrow], 30.0, 1));
+        let high = sys.start_flow(FlowSpec::new(vec![a], 30.0, 2));
+        assert_eq!(sys.flow_rate(b), Some(5.0));
+        assert_eq!(sys.flow_rate(low), Some(5.0));
+        assert_eq!(sys.next_completion(), Some((low, 6.0)));
+        assert_eq!(sys.advance(6.0), vec![(low, 1), (high, 2)]);
+    }
+
+    #[test]
+    fn cancelling_a_class_minimum_rescans_the_class() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        let long = sys.start_flow(FlowSpec::new(vec![r], 40.0, 0));
+        let short = sys.start_flow(FlowSpec::new(vec![r], 10.0, 1));
+        let mid = sys.start_flow(FlowSpec::new(vec![r], 20.0, 2));
+        assert_eq!(sys.next_completion().map(|(id, _)| id), Some(short));
+        assert_eq!(sys.cancel_flow(short), Some(10.0));
+        // Two flows at 5 each: the 20 MB one is next, 4 s out.
+        assert_eq!(sys.next_completion(), Some((mid, 4.0)));
+        // Cancelling a flow above the minimum keeps it.
+        assert_eq!(sys.cancel_flow(long), Some(40.0));
+        assert_eq!(sys.next_completion(), Some((mid, 2.0)));
+    }
+
+    #[test]
+    fn zero_volume_flow_joining_a_busy_class_completes_alone() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        let busy = sys.start_flow(FlowSpec::new(vec![r], 100.0, 0));
+        assert!(sys.advance(2.0).is_empty());
+        let empty = sys.start_flow(FlowSpec::new(vec![r], 0.0, 1));
+        assert_eq!(sys.next_completion(), Some((empty, 0.0)));
+        assert_eq!(sys.advance(0.0), vec![(empty, 1)]);
+        assert_eq!(sys.flow_remaining(busy), Some(80.0));
+        assert_eq!(sys.next_completion(), Some((busy, 8.0)));
+    }
+
+    #[test]
+    fn mixed_rate_totals_sum_in_slot_order() {
+        let mut sys = FluidSystem::new();
+        let big = 2f64.powi(53);
+        let shared = sys.add_resource(2.0 * big, "shared");
+        let two = sys.add_resource(2.0, "two");
+        let huge = sys.add_resource(big, "huge");
+        // Slots 0 and 2 share one class at rate 1; slot 1 runs at 2^53.
+        let ids = [
+            sys.start_flow(FlowSpec::new(vec![shared, two], 1.0, 0)),
+            sys.start_flow(FlowSpec::new(vec![shared, huge], 1.0, 1)),
+            sys.start_flow(FlowSpec::new(vec![shared, two], 1.0, 2)),
+        ];
+        let rates: Vec<f64> = ids.iter().map(|&f| sys.flow_rate(f).unwrap()).collect();
+        assert_eq!(rates, [1.0, big, 1.0]);
+        // 1 + 2^53 rounds back to 2^53 twice; summing the class first
+        // would give 2 + 2^53 exactly.
+        assert_eq!(sys.total_rate_on(shared), big);
+        assert_eq!(sys.total_rate_on(two), 2.0);
+        assert_eq!(sys.total_rate_on(huge), big);
+    }
+
+    #[test]
+    fn later_rounds_see_one_addition_per_frozen_flow() {
+        let mut sys = FluidSystem::new();
+        let shared = sys.add_resource(2.0, "shared");
+        let narrow = sys.add_resource(1.0, "narrow");
+        // Seven flows freeze at 1/7 on `narrow` in the first round; the
+        // lone flow then gets what they left of `shared`.
+        for tag in 0..7 {
+            sys.start_flow(FlowSpec::new(vec![shared, narrow], 1.0, tag));
+        }
+        let alone = sys.start_flow(FlowSpec::new(vec![shared], 1.0, 7));
+        let used = (0..7).fold(0.0, |used, _| used + 1.0 / 7.0);
+        assert_ne!(used, 7.0 * (1.0 / 7.0));
+        assert_eq!(sys.flow_rate(alone), Some(2.0 - used));
+    }
+
+    #[test]
+    #[should_panic(expected = "advance needs a finite, non-negative dt")]
+    fn infinite_advance_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let dead = sys.add_resource(0.0, "dead-link");
+        sys.start_flow(FlowSpec::new(vec![dead], 5.0, 0));
+        sys.advance(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "advance needs a finite, non-negative dt")]
+    fn nan_advance_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec::new(vec![r], 5.0, 0));
+        sys.advance(f64::NAN);
     }
 
     #[test]

@@ -470,16 +470,19 @@ proptest! {
     }
 
     /// The engine's topology: `n` worker NICs each linked to every PS NIC
-    /// (pushes and pulls), plus one CPU per PS (update applications).
+    /// (pushes and pulls), plus one CPU per PS (update applications). Each
+    /// worker NIC has its own capacity, so a slow one can bind before the PS
+    /// NIC: the PS NIC then carries mixed rates and later filling rounds
+    /// read what earlier ones used.
     #[test]
     fn ps_star_matches_the_oracle_bit_for_bit(
         n in 1usize..9,
         n_ps in 1usize..3,
-        caps in (10.0f64..200.0, 50.0f64..500.0, 5.0f64..100.0),
+        caps in (prop::collection::vec(10.0f64..200.0, 8), 50.0f64..500.0, 5.0f64..100.0),
         ops in ops(),
     ) {
         let (wk, nic, cpu) = caps;
-        let mut c = vec![wk; n];
+        let mut c = wk[..n].to_vec();
         c.extend(std::iter::repeat_n(nic, n_ps));
         c.extend(std::iter::repeat_n(cpu, n_ps));
         let mut pair = Pair::new(&c, Agreement::Bits);

@@ -33,7 +33,8 @@ pub struct SimConfig {
     /// typical iteration-time variance on shared cloud CPUs).
     pub jitter_cv: f64,
     /// Number of parameter shards for layer-wise pipelining and multi-PS
-    /// sharding. The effective count is `max(chunks, n_ps)` capped at 16.
+    /// sharding. The effective count is `max(chunks, 8 · n_ps)` clamped to
+    /// `1..=32`.
     pub chunks: usize,
     /// Optional steady-state extrapolation.
     pub fast_forward: Option<FastForward>,
