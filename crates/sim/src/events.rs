@@ -87,9 +87,9 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
-    /// Panics if `at` is NaN or earlier than the current clock.
+    /// Panics if `at` is not finite or earlier than the current clock.
     pub fn schedule_at(&mut self, at: Time, event: E) {
-        assert!(!at.is_nan(), "cannot schedule an event at NaN");
+        assert!(at.is_finite(), "event time must be finite, got {at}");
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -101,8 +101,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` `delay` seconds from now.
+    ///
+    /// # Panics
+    /// Panics if `delay` is negative or `now + delay` is not finite.
     pub fn schedule_after(&mut self, delay: Time, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
+        // A NaN delay passes here and fails `schedule_at`'s finiteness check.
+        assert!(
+            delay >= 0.0 || delay.is_nan(),
+            "delay must be non-negative, got {delay}"
+        );
         self.schedule_at(self.now + delay, event);
     }
 
@@ -203,6 +210,27 @@ mod tests {
         q.schedule_at(2.0, ());
         q.pop();
         q.schedule_at(1.0, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn scheduling_at_infinity_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(f64::INFINITY, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn scheduling_an_infinite_delay_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_after(f64::INFINITY, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn scheduling_at_nan_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(f64::NAN, ());
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Weighted max-min fair fluid resource sharing.
+//! Max-min fair fluid resource sharing.
 //!
 //! Network links (a parameter server's NIC, a worker's NIC) and
 //! processor-sharing CPUs are modelled as capacitated *resources*. Work in
 //! progress (a gradient push, a parameter pull, a PS update application) is a
 //! *flow* with a volume (MB, or GFLOP for CPU work) traversing one or more
-//! resources. At any instant the rate of every active flow is the weighted
-//! max-min fair allocation computed by progressive filling: all flows grow
-//! proportionally to their weight until a resource saturates, the flows
-//! crossing it freeze, and the rest keep growing.
+//! resources. Every flow has unit weight and no rate cap. At any instant the
+//! rates are the max-min fair allocation computed by progressive filling: all
+//! flows grow at the same rate until a resource saturates, the flows crossing
+//! it freeze, and the rest keep growing.
 //!
 //! This is the classical fluid approximation used by flow-level network
 //! simulators; it captures exactly the contention effects the Cynthia paper
@@ -16,34 +16,52 @@
 //!
 //! # Link-set classes
 //!
-//! Two flows with the same sorted link set, weight and `max_rate` are
-//! indistinguishable to progressive filling, so they always get the same
-//! rate. The solver therefore works on *classes* keyed by
-//! `(links, weight, max_rate)`. A class stores its flows' remaining volumes
-//! and slot indices in two parallel vectors, plus the smallest remaining
-//! volume and one rate. A flow's slot holds only its class, its position in
-//! the class and its tag; releasing a flow swap-removes it from its class,
-//! and slots and the free list are allocated as a flow-by-flow solver would,
-//! so every [`FlowId`] is the same. A dense list of live classes, and per
-//! resource the live classes crossing it, drive every walk: an engine event
-//! costs O(live classes) plus one drain over the remaining volumes. In a PS
-//! star with `n` workers and one PS that is `n + 1` classes however many
-//! chunks are in flight. A class whose last flow leaves is unmapped and its
-//! entry recycled, so the class table never outgrows the peak number of live
-//! link sets. Solver scratch buffers live in the system and are reused across
-//! solves.
+//! Two flows with the same sorted link set are indistinguishable to
+//! progressive filling, so they always get the same rate. The solver
+//! therefore works on *classes* keyed by the link set. A class stores its
+//! flows' remaining volumes and slot indices in two parallel vectors, plus the
+//! smallest remaining volume and one rate. A flow's slot holds only its class,
+//! its position in the class and its tag; releasing a flow swap-removes it
+//! from its class, and slots and the free list are allocated as a
+//! flow-by-flow solver would, so every [`FlowId`] is the same. A dense list of
+//! live classes, and per resource the live classes crossing it, drive every
+//! walk. In a PS star with `n` workers and one PS that is `n + 1` classes
+//! however many chunks are in flight. A class whose last flow leaves is
+//! unmapped and its entry recycled, so the class table never outgrows the
+//! peak number of live link sets.
+//!
+//! # Resource-driven filling
+//!
+//! Each resource's *load*, the number of live flows crossing it, is kept up
+//! to date as flows start and end, together with a dense list of the loaded
+//! resources. A solve starts from the loaded list, with each resource's level
+//! `capacity / load`. Each round takes the lowest level `λ`, freezes at `λ`
+//! every class listed on a resource saturated at `λ`, subtracts the frozen
+//! flows from the loads of their links, charges `λ` once per frozen flow to
+//! the links that still carry unfrozen flows, and recomputes only those
+//! links' levels. A round costs O(loaded resources + newly frozen classes);
+//! the rest of an engine event is the drain over the remaining volumes.
+//! Solver scratch buffers live in the system and are reused across solves.
 //!
 //! # Exact-order contract
 //!
-//! For unit-weight, uncapped flows (all the training engine creates) the
-//! results are bit-identical to progressive filling run flow by flow:
+//! The results are bit-identical to progressive filling run flow by flow
+//! (the `#[cfg(test)]` oracle), which walks every flow every round:
 //!
-//! * per-resource weights are integer counts, which sum exactly in any order;
-//! * every class frozen in one filling round has the same rate, `λ`, so the
-//!   order of their `used += λ` additions does not matter; each class adds
-//!   `λ` once per flow, never `k × λ`, and only to resources a later round
-//!   still reads. A resource that saturates carries no unfrozen weight
-//!   afterwards, so what it has used is never read again;
+//! * per-resource weights are integer flow counts, so the maintained `u32`
+//!   loads equal the float sums a flow walk builds, in any order;
+//! * every level is `(capacity − used).max(0) / unfrozen count`, the same
+//!   expression on the same operands; a level whose operands did not change
+//!   is not recomputed and keeps its bits; the minimum of non-NaN levels does
+//!   not depend on scan order;
+//! * an unfrozen class has all of its links still loaded, so the classes
+//!   listed on the saturated resources are exactly the unfrozen classes with
+//!   a saturated link, the set a flow walk freezes;
+//! * every class frozen in one round has the same rate, `λ`, so the order of
+//!   their `used += λ` additions does not matter; each class adds `λ` once
+//!   per flow, never `k × λ`, and only to resources a later round still
+//!   reads. A resource that saturates carries no unfrozen flow afterwards, so
+//!   what it has used is never read again;
 //! * [`FluidSystem::advance`] computes `d = rate × dt` once per class, the
 //!   same product every flow computed, and drains each volume with
 //!   `r = (r − d).max(0)`;
@@ -57,17 +75,12 @@
 //!   same rate bits, that sum is `k` sequential additions of the rate and no
 //!   slot order is needed; otherwise it sorts the resource's flows by slot.
 //!
-//! Weighted or capped classes may sum in a different order than a flow-by-flow
-//! solve and agree with it to rounding (1e-9 relative is tested).
-//!
 //! Re-solving only the changed connected component, or event-driven
 //! per-resource virtual clocks, were not taken: in a PS star every worker
 //! talks to every PS, so the whole system is one component, and virtual
 //! clocks change the floating-point rounding of every completion time.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
+use crate::hash::KeyMap;
 use crate::{Time, EPS};
 
 /// Rates below this are treated as stalled when searching for the next flow
@@ -146,47 +159,10 @@ enum Slot {
     },
 }
 
-/// `(sorted links, weight bits, max_rate bits)`: flows with equal keys
-/// always share one rate.
-type ClassKey = (Vec<ResourceId>, u64, u64);
-
-/// Multiply-rotate hashing of [`ClassKey`]s (rustc's FxHash scheme). Every
-/// flow start looks its key up, and the keys are resource ids this system
-/// has validated, so SipHash's protection against crafted collisions buys
-/// nothing here.
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The live flows of one link-set class and their common rate.
 #[derive(Debug, Clone, Default)]
 struct Class {
     links: Vec<ResourceId>,
-    weight: f64,
-    max_rate: f64,
     rate: f64,
     /// Remaining volume of each flow, parallel to `slots`; empty marks a
     /// recycled entry.
@@ -198,6 +174,8 @@ struct Class {
     min_remaining: Option<f64>,
     /// Position in [`FluidSystem::live`].
     live_pos: u32,
+    /// The solve that last froze this class (see [`FluidSystem::epoch`]).
+    frozen_in: u64,
 }
 
 impl Class {
@@ -233,24 +211,14 @@ pub struct FlowSpec {
     /// Total volume to transfer/process (same unit as the link capacities
     /// per second).
     pub volume: f64,
-    /// Max-min weight (1.0 = equal share).
-    pub weight: f64,
-    /// Optional hard rate cap (e.g. an application-level throttle).
-    pub max_rate: f64,
     /// Opaque payload handed back on completion.
     pub tag: u64,
 }
 
 impl FlowSpec {
-    /// A unit-weight, uncapped flow.
+    /// A flow of `volume` across `links`, handing back `tag` on completion.
     pub fn new(links: Vec<ResourceId>, volume: f64, tag: u64) -> Self {
-        FlowSpec {
-            links,
-            volume,
-            weight: 1.0,
-            max_rate: f64::INFINITY,
-            tag,
-        }
+        FlowSpec { links, volume, tag }
     }
 }
 
@@ -282,24 +250,79 @@ pub struct FluidSystem {
     free: Vec<u32>,
     active: usize,
     classes: Vec<Class>,
-    class_of: HashMap<ClassKey, u32, BuildHasherDefault<KeyHasher>>,
+    /// Sorted link set → class.
+    class_of: KeyMap<Vec<ResourceId>, u32>,
     /// Recycled entries, reused by new link sets.
     free_classes: Vec<u32>,
     /// Indices of the classes with flows.
     live: Vec<u32>,
     /// Per resource, the live classes crossing it.
     classes_on: Vec<Vec<u32>>,
+    loads: Loads,
     /// Rates must be re-solved before the next query.
     dirty: bool,
+    /// Number of solves so far; a class whose `frozen_in` equals it is
+    /// frozen in the current solve.
+    epoch: u64,
     // Scratch, reused across calls.
+    /// Per resource during a solve: capacity used by frozen flows, unfrozen
+    /// flows crossing it, and its level (fair share per unfrozen flow).
     used: Vec<f64>,
-    weight_on: Vec<f64>,
+    unfrozen_on: Vec<u32>,
     level: Vec<f64>,
-    active_res: Vec<u32>,
-    unfrozen: Vec<u32>,
-    just_frozen: Vec<u32>,
+    /// The resources that still carry unfrozen flows.
+    filling: Vec<u32>,
+    /// The classes frozen in the current round.
+    frozen: Vec<u32>,
     tied: Vec<u32>,
     crossing: Vec<(u32, f64)>,
+}
+
+/// Per-resource flow counts and the dense list of loaded resources, kept up
+/// to date as flows start and end. Solves walk the list rather than every
+/// resource: in an ASP run most worker NICs are idle at any moment.
+#[derive(Debug, Default)]
+struct Loads {
+    /// Per resource, the number of live flows crossing it.
+    count: Vec<u32>,
+    /// The resources with a positive count, in no particular order.
+    list: Vec<u32>,
+    /// Per resource, its position in `list` while loaded.
+    pos: Vec<u32>,
+}
+
+impl Loads {
+    fn add_resource(&mut self) {
+        self.count.push(0);
+        self.pos.push(0);
+    }
+
+    /// One more flow crosses each of `links`.
+    fn add(&mut self, links: &[ResourceId]) {
+        for l in links {
+            let r = l.0 as usize;
+            if self.count[r] == 0 {
+                self.pos[r] = self.list.len() as u32;
+                self.list.push(l.0);
+            }
+            self.count[r] += 1;
+        }
+    }
+
+    /// One flow fewer crosses each of `links`.
+    fn remove(&mut self, links: &[ResourceId]) {
+        for l in links {
+            let r = l.0 as usize;
+            self.count[r] -= 1;
+            if self.count[r] == 0 {
+                let pos = self.pos[r] as usize;
+                self.list.swap_remove(pos);
+                if let Some(&moved) = self.list.get(pos) {
+                    self.pos[moved as usize] = pos as u32;
+                }
+            }
+        }
+    }
 }
 
 impl FluidSystem {
@@ -320,6 +343,7 @@ impl FluidSystem {
             name: name.into(),
         });
         self.classes_on.push(Vec::new());
+        self.loads.add_resource();
         self.dirty = true;
         id
     }
@@ -368,10 +392,8 @@ impl FluidSystem {
     ///
     /// # Panics
     ///
-    /// If the volume is negative or not finite, the weight is not positive
-    /// and finite, `max_rate` is negative or NaN (`INFINITY` means
-    /// uncapped), a link is foreign, or the flow has neither a link nor a
-    /// finite `max_rate`.
+    /// If the volume is negative or not finite, the flow has no link, or a
+    /// link is foreign.
     ///
     /// [`advance`]: FluidSystem::advance
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
@@ -379,18 +401,7 @@ impl FluidSystem {
             spec.volume >= 0.0 && spec.volume.is_finite(),
             "flow volume must be finite and non-negative"
         );
-        assert!(
-            spec.weight > 0.0 && spec.weight.is_finite(),
-            "flow weight must be positive and finite"
-        );
-        assert!(
-            spec.max_rate >= 0.0,
-            "flow max_rate must be non-negative (INFINITY = uncapped)"
-        );
-        assert!(
-            !spec.links.is_empty() || spec.max_rate.is_finite(),
-            "a flow needs at least one link or a finite max_rate"
-        );
+        assert!(!spec.links.is_empty(), "a flow needs at least one link");
         crate::obs::flow_started();
         let mut links = spec.links;
         links.sort_by_key(|r| r.0);
@@ -401,7 +412,8 @@ impl FluidSystem {
                 "unknown resource {l:?}"
             );
         }
-        let class = self.class_for((links, spec.weight.to_bits(), spec.max_rate.to_bits()));
+        self.loads.add(&links);
+        let class = self.class_for(links);
         let (idx, gen) = match self.free.pop() {
             Some(idx) => match self.slots[idx as usize] {
                 Slot::Vacant { gen } => (idx, gen),
@@ -429,10 +441,10 @@ impl FluidSystem {
         FlowId { idx, gen }
     }
 
-    /// The class for `key`, registering it (in a recycled entry if one is
-    /// free) on first use.
-    fn class_for(&mut self, key: ClassKey) -> u32 {
-        if let Some(&c) = self.class_of.get(&key) {
+    /// The class for the sorted link set `links`, registering it (in a
+    /// recycled entry if one is free) on first use.
+    fn class_for(&mut self, links: Vec<ResourceId>) -> u32 {
+        if let Some(&c) = self.class_of.get(&links) {
             return c;
         }
         let c = self.free_classes.pop().unwrap_or_else(|| {
@@ -441,17 +453,15 @@ impl FluidSystem {
         });
         // A recycled entry keeps its emptied vectors' capacity.
         let class = &mut self.classes[c as usize];
-        class.links.clone_from(&key.0);
-        class.weight = f64::from_bits(key.1);
-        class.max_rate = f64::from_bits(key.2);
+        class.links.clone_from(&links);
         class.rate = 0.0;
         class.min_remaining = Some(f64::INFINITY);
         class.live_pos = self.live.len() as u32;
         self.live.push(c);
-        for l in &key.0 {
+        for l in &links {
             self.classes_on[l.0 as usize].push(c);
         }
-        self.class_of.insert(key, c);
+        self.class_of.insert(links, c);
         c
     }
 
@@ -509,6 +519,7 @@ impl FluidSystem {
         self.active -= 1;
         self.dirty = true;
         let class = &mut self.classes[c as usize];
+        self.loads.remove(&class.links);
         let r = class.remaining.swap_remove(pos as usize);
         class.slots.swap_remove(pos as usize);
         if class.min_remaining.is_some_and(|m| r <= m) {
@@ -519,19 +530,15 @@ impl FluidSystem {
                 *p = pos;
             }
         } else if class.slots.is_empty() {
-            let key = (
-                std::mem::take(&mut class.links),
-                class.weight.to_bits(),
-                class.max_rate.to_bits(),
-            );
+            let links = std::mem::take(&mut class.links);
             let live_pos = class.live_pos as usize;
-            for l in &key.0 {
+            for l in &links {
                 let on = &mut self.classes_on[l.0 as usize];
                 if let Some(i) = on.iter().position(|&x| x == c) {
                     on.swap_remove(i);
                 }
             }
-            self.class_of.remove(&key);
+            self.class_of.remove(&links);
             self.free_classes.push(c);
             self.live.swap_remove(live_pos);
             if let Some(&moved) = self.live.get(live_pos) {
@@ -592,112 +599,86 @@ impl FluidSystem {
         }
     }
 
-    /// Recomputes every class rate by weighted progressive filling.
-    ///
-    /// Each round, every unfrozen flow `f` grows at rate `weight_f · λ`. The
-    /// smallest `λ` at which either (a) a resource saturates or (b) a flow
-    /// hits its `max_rate` freezes the affected classes, and the remaining
-    /// classes keep growing. Terminates in at most `resources + classes`
-    /// rounds.
+    /// Recomputes every class rate by progressive filling over the loaded
+    /// resources (see the module docs). Each round freezes every class on
+    /// the resources with the lowest level, at that level, and leaves at
+    /// least one resource with no unfrozen flow, so a solve takes at most
+    /// as many rounds as there are loaded resources.
     fn ensure_rates(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
+        self.epoch += 1;
 
         let n_res = self.resources.len();
-        for v in [&mut self.used, &mut self.weight_on] {
-            v.clear();
-            v.resize(n_res, 0.0);
-        }
+        self.used.resize(n_res, 0.0);
+        self.unfrozen_on.resize(n_res, 0);
         self.level.resize(n_res, f64::INFINITY);
-        self.active_res.clear();
-        self.unfrozen.clear();
-        self.unfrozen.extend_from_slice(&self.live);
-        self.just_frozen.clear();
+        let level = |capacity: f64, used: f64, unfrozen: u32| {
+            (capacity - used).max(0.0) / f64::from(unfrozen)
+        };
+        for &r in &self.loads.list {
+            let r = r as usize;
+            self.used[r] = 0.0;
+            self.unfrozen_on[r] = self.loads.count[r];
+            self.level[r] = level(self.resources[r].capacity, 0.0, self.loads.count[r]);
+        }
+        self.filling.clone_from(&self.loads.list);
 
-        while !self.unfrozen.is_empty() {
-            // Unfrozen weight per resource, and the lowest flow cap.
-            for &r in &self.active_res {
-                self.weight_on[r as usize] = 0.0;
-            }
-            self.active_res.clear();
+        while !self.filling.is_empty() {
             let mut lambda = f64::INFINITY;
-            for &c in &self.unfrozen {
-                let c = &self.classes[c as usize];
-                // For unit weights this is the integer count, exactly what
-                // adding 1.0 per flow gives.
-                let w = c.remaining.len() as f64 * c.weight;
-                for l in &c.links {
-                    let on = &mut self.weight_on[l.0 as usize];
-                    if *on == 0.0 {
-                        self.active_res.push(l.0);
-                    }
-                    *on += w;
-                }
-                if c.max_rate.is_finite() {
-                    lambda = lambda.min(c.max_rate / c.weight);
+            for &r in &self.filling {
+                let level = self.level[r as usize];
+                if level < lambda {
+                    lambda = level;
                 }
             }
-
-            // Charge the last round's freezes to the resources this round
-            // still reads, one addition per flow as a flow-by-flow solve
-            // does.
-            for &c in &self.just_frozen {
-                let c = &self.classes[c as usize];
-                for l in &c.links {
-                    if self.weight_on[l.0 as usize] > 0.0 {
-                        let used = &mut self.used[l.0 as usize];
-                        for _ in 0..c.remaining.len() {
-                            *used += c.rate;
-                        }
-                    }
-                }
-            }
-            self.just_frozen.clear();
-
-            // Bottleneck level over the loaded resources and flow caps.
-            for &r in &self.active_res {
-                let r = r as usize;
-                let level =
-                    (self.resources[r].capacity - self.used[r]).max(0.0) / self.weight_on[r];
-                self.level[r] = level;
-                lambda = lambda.min(level);
-            }
-            assert!(
-                lambda.is_finite(),
-                "unfrozen flow with no binding constraint (flow without links?)"
-            );
-
-            // Freeze every class touching a resource saturated at `lambda`,
-            // and every class whose cap equals `lambda`.
+            // Freeze every class on a resource saturated at `lambda`. An
+            // unfrozen class has all its links still filling, so this finds
+            // every unfrozen class with a saturated link.
             let tol = 1e-12 + lambda * 1e-12;
-            let mut kept = 0;
-            for i in 0..self.unfrozen.len() {
-                let ci = self.unfrozen[i];
-                let c = &mut self.classes[ci as usize];
-                let hits_saturated = c
-                    .links
-                    .iter()
-                    .any(|l| self.level[l.0 as usize] <= lambda + tol);
-                let capped = c.max_rate.is_finite() && c.max_rate / c.weight <= lambda + tol;
-                if hits_saturated || capped {
-                    c.rate = if capped && !hits_saturated {
-                        c.max_rate
-                    } else {
-                        c.weight * lambda
-                    };
-                    self.just_frozen.push(ci);
-                } else {
-                    self.unfrozen[kept] = ci;
-                    kept += 1;
+            self.frozen.clear();
+            for &r in &self.filling {
+                if self.level[r as usize] > lambda + tol {
+                    continue;
+                }
+                for &c in &self.classes_on[r as usize] {
+                    let class = &mut self.classes[c as usize];
+                    if class.frozen_in != self.epoch {
+                        class.frozen_in = self.epoch;
+                        class.rate = lambda;
+                        self.frozen.push(c);
+                    }
                 }
             }
-            self.unfrozen.truncate(kept);
             assert!(
-                !self.just_frozen.is_empty(),
+                !self.frozen.is_empty(),
                 "progressive filling failed to make progress"
             );
+
+            // Charge the freezes to the links a later round still reads,
+            // one addition per flow as a flow-by-flow solve does. Loads only
+            // fall, so a link still filling after the last class is charged
+            // was charged by every class before it too.
+            for &c in &self.frozen {
+                let class = &self.classes[c as usize];
+                let k = class.slots.len() as u32;
+                for l in &class.links {
+                    let r = l.0 as usize;
+                    self.unfrozen_on[r] -= k;
+                    if self.unfrozen_on[r] > 0 {
+                        let used = &mut self.used[r];
+                        for _ in 0..k {
+                            *used += lambda;
+                        }
+                        self.level[r] =
+                            level(self.resources[r].capacity, *used, self.unfrozen_on[r]);
+                    }
+                }
+            }
+            let unfrozen_on = &self.unfrozen_on;
+            self.filling.retain(|&r| unfrozen_on[r as usize] > 0);
         }
     }
 
@@ -820,38 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_bias_the_shares() {
-        let mut sys = FluidSystem::new();
-        let r = sys.add_resource(90.0, "link");
-        let heavy = sys.start_flow(FlowSpec {
-            links: vec![r],
-            volume: 1.0,
-            weight: 2.0,
-            max_rate: f64::INFINITY,
-            tag: 0,
-        });
-        let light = sys.start_flow(FlowSpec::new(vec![r], 1.0, 1));
-        assert!(approx(sys.flow_rate(heavy).unwrap(), 60.0));
-        assert!(approx(sys.flow_rate(light).unwrap(), 30.0));
-    }
-
-    #[test]
-    fn max_rate_caps_redistribute_to_others() {
-        let mut sys = FluidSystem::new();
-        let r = sys.add_resource(100.0, "link");
-        let capped = sys.start_flow(FlowSpec {
-            links: vec![r],
-            volume: 1.0,
-            weight: 1.0,
-            max_rate: 10.0,
-            tag: 0,
-        });
-        let free = sys.start_flow(FlowSpec::new(vec![r], 1.0, 1));
-        assert!(approx(sys.flow_rate(capped).unwrap(), 10.0));
-        assert!(approx(sys.flow_rate(free).unwrap(), 90.0));
-    }
-
-    #[test]
     fn two_link_flow_limited_by_narrow_link() {
         let mut sys = FluidSystem::new();
         let wide = sys.add_resource(100.0, "worker-nic");
@@ -954,15 +903,11 @@ mod tests {
     fn utilization_reflects_load() {
         let mut sys = FluidSystem::new();
         let r = sys.add_resource(100.0, "link");
+        let narrow = sys.add_resource(25.0, "narrow");
         assert_eq!(sys.utilization(r), 0.0);
-        sys.start_flow(FlowSpec {
-            links: vec![r],
-            volume: 1.0,
-            weight: 1.0,
-            max_rate: 25.0,
-            tag: 0,
-        });
+        sys.start_flow(FlowSpec::new(vec![r, narrow], 1.0, 0));
         assert!(approx(sys.utilization(r), 0.25));
+        assert!(approx(sys.utilization(narrow), 1.0));
     }
 
     #[test]
@@ -1010,28 +955,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flow max_rate must be non-negative")]
-    fn negative_max_rate_is_rejected() {
-        let mut sys = FluidSystem::new();
-        let r = sys.add_resource(10.0, "link");
-        sys.start_flow(FlowSpec {
-            max_rate: -4.0,
-            ..FlowSpec::new(vec![r], 1.0, 0)
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "flow max_rate must be non-negative")]
-    fn nan_max_rate_is_rejected() {
-        let mut sys = FluidSystem::new();
-        let r = sys.add_resource(10.0, "link");
-        sys.start_flow(FlowSpec {
-            max_rate: f64::NAN,
-            ..FlowSpec::new(vec![r], 1.0, 0)
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "flow volume must be finite and non-negative")]
     fn infinite_volume_is_rejected() {
         let mut sys = FluidSystem::new();
@@ -1048,14 +971,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flow weight must be positive and finite")]
-    fn infinite_weight_is_rejected() {
+    #[should_panic(expected = "a flow needs at least one link")]
+    fn linkless_flow_is_rejected() {
         let mut sys = FluidSystem::new();
-        let r = sys.add_resource(10.0, "link");
-        sys.start_flow(FlowSpec {
-            weight: f64::INFINITY,
-            ..FlowSpec::new(vec![r], 1.0, 0)
-        });
+        sys.add_resource(10.0, "link");
+        sys.start_flow(FlowSpec::new(Vec::new(), 1.0, 0));
     }
 
     /// `wide` (100) carries a long flow alone and a short one shared with
@@ -1288,5 +1208,122 @@ mod tests {
         let r = sys.add_resource(0.0, "dead-link");
         sys.start_flow(FlowSpec::new(vec![r], 1.0, 0));
         assert!(sys.is_stalled());
+    }
+
+    /// The maintained loads equal a recount over the live classes, the
+    /// loaded list holds exactly the resources with a positive load, and
+    /// every position points back at its resource.
+    fn assert_loads_consistent(sys: &FluidSystem) {
+        let mut count = vec![0u32; sys.resources.len()];
+        for &c in &sys.live {
+            let class = &sys.classes[c as usize];
+            for l in &class.links {
+                count[l.0 as usize] += class.slots.len() as u32;
+            }
+        }
+        assert_eq!(sys.loads.count, count);
+        let mut listed = sys.loads.list.clone();
+        listed.sort_unstable();
+        let loaded: Vec<u32> = (0..count.len() as u32)
+            .filter(|&r| count[r as usize] > 0)
+            .collect();
+        assert_eq!(listed, loaded);
+        for (i, &r) in sys.loads.list.iter().enumerate() {
+            assert_eq!(sys.loads.pos[r as usize] as usize, i);
+        }
+    }
+
+    #[test]
+    fn class_on_two_resources_saturating_together_is_frozen_once() {
+        let mut sys = FluidSystem::new();
+        let a = sys.add_resource(10.0, "a");
+        let b = sys.add_resource(10.0, "b");
+        let c = sys.add_resource(100.0, "c");
+        // `a` and `b` both saturate at 5 in the first round, and both list
+        // the class of `both`. Frozen once, it charges `c` 5 once.
+        let both = sys.start_flow(FlowSpec::new(vec![a, b, c], 1.0, 0));
+        sys.start_flow(FlowSpec::new(vec![a], 1.0, 1));
+        sys.start_flow(FlowSpec::new(vec![b], 1.0, 2));
+        let rest = sys.start_flow(FlowSpec::new(vec![c], 1.0, 3));
+        assert_eq!(sys.flow_rate(both), Some(5.0));
+        assert_eq!(sys.flow_rate(rest), Some(95.0));
+        assert_eq!(sys.total_rate_on(c), 100.0);
+        assert_eq!(sys.total_rate_on(a), 10.0);
+        assert_eq!(sys.total_rate_on(b), 10.0);
+    }
+
+    #[test]
+    fn loads_empty_after_cancellation_and_after_completion() {
+        let mut sys = FluidSystem::new();
+        let rids: Vec<_> = (0..5)
+            .map(|i| sys.add_resource(10.0 + i as f64, format!("r{i}")))
+            .collect();
+        for tag in 0..12u64 {
+            let links = vec![rids[tag as usize % 5], rids[(tag as usize * 3 + 1) % 5]];
+            sys.start_flow(FlowSpec::new(links, 1.0 + tag as f64, tag));
+            assert_loads_consistent(&sys);
+        }
+        sys.cancel_flows_where(|t| t % 3 == 0);
+        assert_loads_consistent(&sys);
+        sys.cancel_flows_where(|_| true);
+        assert_loads_consistent(&sys);
+        assert!(sys.loads.list.is_empty());
+
+        for tag in 0..12u64 {
+            let links = vec![rids[tag as usize % 5], rids[(tag as usize * 2) % 5]];
+            sys.start_flow(FlowSpec::new(links, 1.0 + tag as f64, tag));
+        }
+        while let Some((_, dt)) = sys.next_completion() {
+            sys.advance(dt);
+            assert_loads_consistent(&sys);
+        }
+        assert_eq!(sys.active_flows(), 0);
+        assert!(sys.loads.list.is_empty());
+        assert!(sys.loads.count.iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn idle_resource_loaded_again_shares_afresh() {
+        let mut sys = FluidSystem::new();
+        let a = sys.add_resource(10.0, "a");
+        let b = sys.add_resource(30.0, "b");
+        let long = sys.start_flow(FlowSpec::new(vec![b], 1e6, 0));
+        let first = sys.start_flow(FlowSpec::new(vec![a, b], 20.0, 1));
+        assert_eq!(sys.flow_rate(first), Some(10.0));
+        assert_eq!(sys.advance(2.0), vec![(first, 1)]);
+        // `a` is idle: the long flow takes all of `b`.
+        assert_loads_consistent(&sys);
+        assert_eq!(sys.loads.list, vec![b.0]);
+        assert_eq!(sys.flow_rate(long), Some(30.0));
+        assert_eq!(sys.total_rate_on(a), 0.0);
+        // Loaded again, `a` binds its flows as before.
+        let again = sys.start_flow(FlowSpec::new(vec![a, b], 20.0, 2));
+        let twin = sys.start_flow(FlowSpec::new(vec![a], 20.0, 3));
+        assert_loads_consistent(&sys);
+        assert_eq!(sys.flow_rate(again), Some(5.0));
+        assert_eq!(sys.flow_rate(twin), Some(5.0));
+        assert_eq!(sys.flow_rate(long), Some(25.0));
+        assert_eq!(sys.total_rate_on(a), 10.0);
+    }
+
+    #[test]
+    fn zero_capacity_resource_stalls_only_its_flows() {
+        let mut sys = FluidSystem::new();
+        let dead = sys.add_resource(0.0, "dead");
+        let shared = sys.add_resource(10.0, "shared");
+        let stuck = sys.start_flow(FlowSpec::new(vec![dead, shared], 5.0, 0));
+        let live = sys.start_flow(FlowSpec::new(vec![shared], 5.0, 1));
+        // The dead resource saturates first at level 0; the live flow then
+        // gets all of `shared`.
+        assert_eq!(sys.flow_rate(stuck), Some(0.0));
+        assert_eq!(sys.flow_rate(live), Some(10.0));
+        assert!(!sys.is_stalled());
+        assert_eq!(sys.next_completion(), Some((live, 0.5)));
+        assert_eq!(sys.advance(0.5), vec![(live, 1)]);
+        assert!(sys.is_stalled());
+        assert_eq!(sys.flow_remaining(stuck), Some(5.0));
+        sys.set_capacity(dead, 1.0).unwrap();
+        assert!(!sys.is_stalled());
+        assert_eq!(sys.next_completion(), Some((stuck, 5.0)));
     }
 }

@@ -1,11 +1,9 @@
 //! The flow-by-flow progressive-filling solver, kept as a test oracle for the
-//! link-set-class solver, and the property tests that drive both through the
-//! same random operation sequences.
+//! resource-driven class solver, and the property tests that drive both
+//! through the same random operation sequences.
 //!
-//! Unit-weight, uncapped systems (the training engine's PS star among them)
-//! must agree bit for bit: rates, remaining volumes, per-resource totals,
-//! completion times and completion order. Weighted or capped systems sum in
-//! a different order and must agree to 1e-9 relative.
+//! Both must agree bit for bit: rates, remaining volumes, per-resource
+//! totals, completion times and completion order.
 
 use super::{FlowId, FlowSpec, FluidSystem, ResourceId, RATE_EPS};
 use crate::{Time, EPS};
@@ -16,8 +14,6 @@ struct OracleFlow {
     links: Vec<ResourceId>,
     remaining: f64,
     rate: f64,
-    weight: f64,
-    max_rate: f64,
     tag: u64,
 }
 
@@ -52,8 +48,6 @@ impl Oracle {
             links,
             remaining: spec.volume,
             rate: 0.0,
-            weight: spec.weight,
-            max_rate: spec.max_rate,
             tag: spec.tag,
         };
         self.dirty = true;
@@ -143,7 +137,7 @@ impl Oracle {
                 };
                 any_unfrozen = true;
                 for l in &f.links {
-                    weight_on[l.0 as usize] += f.weight;
+                    weight_on[l.0 as usize] += 1.0;
                 }
             }
             if !any_unfrozen {
@@ -153,13 +147,6 @@ impl Oracle {
             for r in 0..n_res {
                 if weight_on[r] > 0.0 {
                     lambda = lambda.min((self.capacities[r] - used[r]).max(0.0) / weight_on[r]);
-                }
-            }
-            for (i, (_, f)) in self.slots.iter().enumerate() {
-                if let Some(f) = f.as_ref().filter(|_| !frozen[i]) {
-                    if f.max_rate.is_finite() {
-                        lambda = lambda.min(f.max_rate / f.weight);
-                    }
                 }
             }
             assert!(
@@ -178,14 +165,8 @@ impl Oracle {
                 let Some(f) = f.as_mut().filter(|_| !frozen[i]) else {
                     continue;
                 };
-                let hits_saturated = f.links.iter().any(|l| saturated[l.0 as usize]);
-                let capped = f.max_rate.is_finite() && f.max_rate / f.weight <= lambda + tol;
-                if hits_saturated || capped {
-                    f.rate = if capped && !hits_saturated {
-                        f.max_rate
-                    } else {
-                        f.weight * lambda
-                    };
+                if f.links.iter().any(|l| saturated[l.0 as usize]) {
+                    f.rate = lambda;
                     for l in &f.links {
                         used[l.0 as usize] += f.rate;
                     }
@@ -241,15 +222,6 @@ impl Oracle {
     }
 }
 
-/// How closely the two solvers must agree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Agreement {
-    /// `f64::to_bits` equality everywhere.
-    Bits,
-    /// 1e-9 relative.
-    Close,
-}
-
 /// Both solvers side by side, plus the link sets new flows pick from.
 struct Pair {
     sys: FluidSystem,
@@ -259,18 +231,14 @@ struct Pair {
     patterns: Vec<Vec<ResourceId>>,
     ids: Vec<FlowId>,
     next_tag: u64,
-    agreement: Agreement,
 }
 
-fn same(a: f64, b: f64, agreement: Agreement) -> bool {
-    match agreement {
-        Agreement::Bits => a.to_bits() == b.to_bits(),
-        Agreement::Close => (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())),
-    }
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 impl Pair {
-    fn new(capacities: &[f64], agreement: Agreement) -> Self {
+    fn new(capacities: &[f64]) -> Self {
         let mut pair = Pair {
             sys: FluidSystem::new(),
             oracle: Oracle::default(),
@@ -279,7 +247,6 @@ impl Pair {
             patterns: Vec::new(),
             ids: Vec::new(),
             next_tag: 0,
-            agreement,
         };
         for c in capacities {
             pair.add_resource(*c);
@@ -295,14 +262,12 @@ impl Pair {
         r
     }
 
-    fn start(&mut self, pattern: usize, volume: f64, weight: f64, max_rate: f64) {
-        let spec = FlowSpec {
-            links: self.patterns[pattern % self.patterns.len()].clone(),
+    fn start(&mut self, pattern: usize, volume: f64) {
+        let spec = FlowSpec::new(
+            self.patterns[pattern % self.patterns.len()].clone(),
             volume,
-            weight,
-            max_rate,
-            tag: self.next_tag,
-        };
+            self.next_tag,
+        );
         self.next_tag += 1;
         let id = self.sys.start_flow(spec.clone());
         assert_eq!(id, self.oracle.start_flow(spec), "slot allocation diverged");
@@ -312,31 +277,24 @@ impl Pair {
     /// Compares every observable: rates and remaining volumes of every id
     /// ever handed out (stale ones must be gone in both), and every total.
     fn check(&mut self) -> Result<(), TestCaseError> {
-        let agreement = self.agreement;
         prop_assert_eq!(self.sys.active_flows(), self.oracle.flows().count());
         for &id in &self.ids {
             let (a, b) = (self.sys.flow_rate(id), self.oracle.flow_rate(id));
             prop_assert_eq!(a.is_some(), b.is_some(), "liveness of {:?}", id);
             if let (Some(a), Some(b)) = (a, b) {
-                prop_assert!(same(a, b, agreement), "rate of {:?}: {} vs {}", id, a, b);
+                prop_assert!(same(a, b), "rate of {:?}: {} vs {}", id, a, b);
             }
             let (a, b) = (
                 self.sys.flow_remaining(id),
                 self.oracle.get(id).map(|f| f.remaining),
             );
             if let (Some(a), Some(b)) = (a, b) {
-                prop_assert!(
-                    same(a, b, agreement),
-                    "remaining of {:?}: {} vs {}",
-                    id,
-                    a,
-                    b
-                );
+                prop_assert!(same(a, b), "remaining of {:?}: {} vs {}", id, a, b);
             }
         }
         for &r in &self.rids {
             let (a, b) = (self.sys.total_rate_on(r), self.oracle.total_rate_on(r));
-            prop_assert!(same(a, b, agreement), "total on {:?}: {} vs {}", r, a, b);
+            prop_assert!(same(a, b), "total on {:?}: {} vs {}", r, a, b);
         }
         Ok(())
     }
@@ -344,19 +302,10 @@ impl Pair {
     /// Advances both by `dt`, or to the next completion when `dt` is `None`.
     fn advance(&mut self, dt: Option<f64>) -> Result<(), TestCaseError> {
         let (a, b) = (self.sys.next_completion(), self.oracle.next_completion());
-        match self.agreement {
-            Agreement::Bits => prop_assert_eq!(
-                a.map(|(id, dt)| (id, dt.to_bits())),
-                b.map(|(id, dt)| (id, dt.to_bits()))
-            ),
-            // Near-ties may pick different flows; the times must agree.
-            Agreement::Close => {
-                prop_assert_eq!(a.is_some(), b.is_some());
-                if let (Some((_, x)), Some((_, y))) = (a, b) {
-                    prop_assert!(same(x, y, Agreement::Close), "next dt: {} vs {}", x, y);
-                }
-            }
-        }
+        prop_assert_eq!(
+            a.map(|(id, dt)| (id, dt.to_bits())),
+            b.map(|(id, dt)| (id, dt.to_bits()))
+        );
         let Some(dt) = dt.or(a.map(|(_, dt)| dt)) else {
             return Ok(());
         };
@@ -373,14 +322,7 @@ impl Pair {
                     0 => [0.0, 8.0, 64.0][a / 4 % 3],
                     _ => 0.5 + 500.0 * x,
                 };
-                let (weight, max_rate) = match self.agreement {
-                    Agreement::Bits => (1.0, f64::INFINITY),
-                    Agreement::Close => (
-                        [1.0, 0.5, 2.0, 3.0][a / 8 % 4],
-                        [f64::INFINITY, f64::INFINITY, 5.0, 40.0][a / 32 % 4],
-                    ),
-                };
-                self.start(a / 128, volume, weight, max_rate);
+                self.start(a / 128, volume);
             }
             3 => self.advance(None)?,
             4 => {
@@ -452,8 +394,8 @@ fn random_system() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<usize>>)> {
     )
 }
 
-fn random_pair((caps, sets): (Vec<f64>, Vec<Vec<usize>>), agreement: Agreement) -> Pair {
-    let mut pair = Pair::new(&caps, agreement);
+fn random_pair((caps, sets): (Vec<f64>, Vec<Vec<usize>>)) -> Pair {
+    let mut pair = Pair::new(&caps);
     pair.patterns = sets
         .iter()
         .map(|s| s.iter().map(|i| pair.rids[i % caps.len()]).collect())
@@ -466,36 +408,37 @@ proptest! {
 
     #[test]
     fn unit_flows_match_the_oracle_bit_for_bit(system in random_system(), ops in ops()) {
-        replay(random_pair(system, Agreement::Bits), ops)?;
+        replay(random_pair(system), ops)?;
     }
 
     /// The engine's topology: `n` worker NICs each linked to every PS NIC
     /// (pushes and pulls), plus one CPU per PS (update applications). Each
-    /// worker NIC has its own capacity, so a slow one can bind before the PS
-    /// NIC: the PS NIC then carries mixed rates and later filling rounds
-    /// read what earlier ones used.
+    /// worker NIC, PS NIC and PS CPU has its own capacity, so a slow worker
+    /// NIC can bind before the PS NICs, and with several PSs (`fig10`'s
+    /// clusters) the PS NICs saturate in different rounds: PS NICs then
+    /// carry mixed rates and later filling rounds read what earlier ones
+    /// used.
     #[test]
     fn ps_star_matches_the_oracle_bit_for_bit(
         n in 1usize..9,
-        n_ps in 1usize..3,
-        caps in (prop::collection::vec(10.0f64..200.0, 8), 50.0f64..500.0, 5.0f64..100.0),
+        n_ps in 1usize..=4,
+        caps in (
+            prop::collection::vec(10.0f64..200.0, 8),
+            prop::collection::vec(50.0f64..500.0, 4),
+            prop::collection::vec(5.0f64..100.0, 4),
+        ),
         ops in ops(),
     ) {
         let (wk, nic, cpu) = caps;
         let mut c = wk[..n].to_vec();
-        c.extend(std::iter::repeat_n(nic, n_ps));
-        c.extend(std::iter::repeat_n(cpu, n_ps));
-        let mut pair = Pair::new(&c, Agreement::Bits);
+        c.extend_from_slice(&nic[..n_ps]);
+        c.extend_from_slice(&cpu[..n_ps]);
+        let mut pair = Pair::new(&c);
         let r = pair.rids.clone();
         for k in 0..n_ps {
             pair.patterns.extend((0..n).map(|j| vec![r[j], r[n + k]]));
             pair.patterns.push(vec![r[n + n_ps + k]]);
         }
         replay(pair, ops)?;
-    }
-
-    #[test]
-    fn weighted_capped_flows_match_the_oracle_closely(system in random_system(), ops in ops()) {
-        replay(random_pair(system, Agreement::Close), ops)?;
     }
 }

@@ -4,9 +4,11 @@
 //!
 //! * [`events::EventQueue`] — a virtual-time event queue with deterministic
 //!   FIFO tie-breaking for simultaneous events.
-//! * [`fluid::FluidSystem`] — weighted max-min fair sharing of capacitated
+//! * [`fluid::FluidSystem`] — max-min fair sharing of capacitated
 //!   resources (NIC links, processor-sharing CPUs) among concurrent flows,
 //!   solved by progressive filling (water-filling).
+//! * [`hash::KeyMap`] — a hash map on a fast multiply-rotate hasher for the
+//!   simulator's integer-keyed hot maps.
 //! * [`metrics`] — busy-time utilization tracking, throughput time series,
 //!   and summary statistics.
 //! * [`rng`] — deterministic seed derivation and log-normal jitter so every
@@ -18,6 +20,7 @@
 
 pub mod events;
 pub mod fluid;
+pub mod hash;
 pub mod metrics;
 pub mod obs;
 pub mod rng;

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 struct Scenario {
     capacities: Vec<f64>,
-    /// For each flow: (link indices, volume, weight, optional cap)
-    flows: Vec<(Vec<usize>, f64, f64, Option<f64>)>,
+    /// For each flow: (link indices, volume)
+    flows: Vec<(Vec<usize>, f64)>,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -17,8 +17,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         let flow = (
             prop::collection::vec(0..n_res, 1..=n_res.min(3)),
             0.1f64..500.0,
-            0.25f64..4.0,
-            prop::option::of(0.5f64..200.0),
         );
         let flows = prop::collection::vec(flow, 1..12);
         (Just(capacities), flows).prop_map(|(capacities, flows)| Scenario { capacities, flows })
@@ -43,14 +41,12 @@ fn build(
         .flows
         .iter()
         .enumerate()
-        .map(|(i, (links, vol, w, cap))| {
-            sys.start_flow(FlowSpec {
-                links: links.iter().map(|l| rids[*l]).collect(),
-                volume: *vol,
-                weight: *w,
-                max_rate: cap.unwrap_or(f64::INFINITY),
-                tag: i as u64,
-            })
+        .map(|(i, (links, vol))| {
+            sys.start_flow(FlowSpec::new(
+                links.iter().map(|l| rids[*l]).collect(),
+                *vol,
+                i as u64,
+            ))
         })
         .collect();
     (sys, rids, fids)
@@ -81,33 +77,14 @@ proptest! {
         }
     }
 
-    /// Per-flow caps are honored.
-    #[test]
-    fn caps_respected(s in scenario()) {
-        let (mut sys, _, fids) = build(&s);
-        for (f, (_, _, _, cap)) in fids.iter().zip(&s.flows) {
-            if let Some(c) = cap {
-                let rate = sys.flow_rate(*f).unwrap();
-                prop_assert!(rate <= c * (1.0 + 1e-9), "rate {rate} > cap {c}");
-            }
-        }
-    }
-
-    /// Max-min optimality certificate: each uncapped flow traverses at least
-    /// one saturated resource on which no other flow has a higher
-    /// weight-normalized rate.
+    /// Max-min optimality certificate: each flow traverses at least one
+    /// saturated resource on which no other flow has a higher rate.
     #[test]
     fn max_min_certificate(s in scenario()) {
         let (mut sys, rids, fids) = build(&s);
         let rates: Vec<f64> = fids.iter().map(|f| sys.flow_rate(*f).unwrap()).collect();
         let tol = 1e-6;
-        for (i, (links, _, w, cap)) in s.flows.iter().enumerate() {
-            let norm = rates[i] / w;
-            if let Some(c) = cap {
-                if rates[i] >= c * (1.0 - tol) {
-                    continue; // flow is bound by its own cap: certificate holds
-                }
-            }
+        for (i, (links, _)) in s.flows.iter().enumerate() {
             let mut certified = false;
             for l in links {
                 let used = sys.total_rate_on(rids[*l]);
@@ -115,26 +92,16 @@ proptest! {
                 if !saturated {
                     continue;
                 }
-                // No co-located flow has a strictly higher normalized rate
-                // unless it is frozen lower by another bottleneck: the
-                // certificate only requires that *this* flow's normalized
-                // rate is maximal among flows on `l` that are not bound
-                // elsewhere below it. A simpler sound check: this flow's
-                // normalized rate is >= the minimum share it would get if
-                // the link were split by weight among its flows.
-                let on_link: Vec<usize> = s
+                // This flow's rate is maximal among the flows on `l`: the
+                // others on `l` are frozen at or below it.
+                let max_other = s
                     .flows
                     .iter()
                     .enumerate()
-                    .filter(|(_, (ls, _, _, _))| ls.contains(l))
-                    .map(|(j, _)| j)
-                    .collect();
-                let max_other_norm = on_link
-                    .iter()
-                    .filter(|j| **j != i)
-                    .map(|j| rates[*j] / s.flows[*j].2)
+                    .filter(|(j, (ls, _))| *j != i && ls.contains(l))
+                    .map(|(j, _)| rates[j])
                     .fold(0.0f64, f64::max);
-                if norm + tol >= max_other_norm {
+                if rates[i] + tol >= max_other {
                     certified = true;
                     break;
                 }
@@ -204,7 +171,7 @@ proptest! {
     fn zero_capacity_outage_then_recovery_drains(s in scenario()) {
         let (mut sys, rids, fids) = build(&s);
         sys.set_capacity(rids[0], 0.0).unwrap();
-        for (f, (links, _, _, _)) in fids.iter().zip(&s.flows) {
+        for (f, (links, _)) in fids.iter().zip(&s.flows) {
             let rate = sys.flow_rate(*f).unwrap();
             if links.contains(&0) {
                 prop_assert!(rate == 0.0, "flow through dead resource runs at {rate}");

@@ -48,9 +48,9 @@ use cynthia_faults::{FaultEvent, FaultKind, FaultPlan, LinkTarget, RecoveryPolic
 use cynthia_models::{SyncMode, Workload};
 use cynthia_sim::events::EventQueue;
 use cynthia_sim::fluid::{FlowSpec, FluidSystem, ResourceId};
+use cynthia_sim::hash::KeyMap;
 use cynthia_sim::metrics::{Stats, ThroughputRecorder};
 use cynthia_sim::rng::Jitter;
-use std::collections::HashMap;
 
 /// A training job to simulate.
 #[derive(Debug)]
@@ -361,7 +361,7 @@ struct Engine<'a> {
     progress_stride: u64,
 
     // BSP progress
-    applied: HashMap<u64, IterProgress>,
+    applied: KeyMap<u64, IterProgress>,
     iterations_done: u64,
     last_completion: f64,
     warmup_time: f64,
@@ -377,9 +377,9 @@ struct Engine<'a> {
     staleness_samples: Vec<f64>,
 
     // per-iteration accounting
-    comp_per_iter: HashMap<u64, f64>,
-    comm_active: HashMap<u64, u32>,
-    comm_accum: HashMap<u64, f64>,
+    comp_per_iter: KeyMap<u64, f64>,
+    comm_active: KeyMap<u64, u32>,
+    comm_accum: KeyMap<u64, f64>,
 
     // resource metrics
     ps_cpu_busy: Vec<f64>,
@@ -396,7 +396,7 @@ struct Engine<'a> {
 
     // optional execution tracing
     trace: Option<TraceRecorder>,
-    flow_starts: HashMap<u64, f64>,
+    flow_starts: KeyMap<u64, f64>,
 
     // running SSP staleness accumulator (drives the convergence penalty)
     ssp_stale_sum: f64,
@@ -536,7 +536,7 @@ impl<'a> Engine<'a> {
             degraded_secs: 0.0,
             progress_curve: Vec::new(),
             progress_stride: (target / 256).max(1),
-            applied: HashMap::new(),
+            applied: KeyMap::default(),
             iterations_done: 0,
             last_completion: 0.0,
             warmup_time: 0.0,
@@ -546,9 +546,9 @@ impl<'a> Engine<'a> {
             comp_samples: Vec::new(),
             comm_samples: Vec::new(),
             staleness_samples: Vec::new(),
-            comp_per_iter: HashMap::new(),
-            comm_active: HashMap::new(),
-            comm_accum: HashMap::new(),
+            comp_per_iter: KeyMap::default(),
+            comm_active: KeyMap::default(),
+            comm_accum: KeyMap::default(),
             ps_cpu_busy: vec![0.0; n_ps],
             ps_nic_rec: vec![ThroughputRecorder::new(); n_ps],
             loss_rng: Jitter::new(cfg.seed, "loss-noise", n as u64, w.convergence.noise_sd),
@@ -558,7 +558,7 @@ impl<'a> Engine<'a> {
             total_time: 0.0,
             extrapolated: false,
             trace: None,
-            flow_starts: HashMap::new(),
+            flow_starts: KeyMap::default(),
             ssp_stale_sum: 0.0,
             ssp_stale_count: 0,
             obs_run: 0,
