@@ -1,66 +1,34 @@
-//! Instrumentation hooks for billing (feature `obs`).
+//! Instrumentation hooks for billing.
 //!
 //! [`BillingMeter`](crate::billing::BillingMeter) reports every lease
 //! launch and every settled lease cost — the realized Eq. (8) spend —
 //! so the cost side of the paper's objective is observable alongside
-//! the time side (`cynthia_train_*`). Hooks never affect billing.
+//! the time side (`cynthia_train_*`). Hooks never affect billing; the
+//! kill switch ([`cynthia_obs::set_enabled`]) turns them off.
 
-#[cfg(feature = "obs")]
-mod real {
-    use cynthia_obs::{metrics, Counter, FloatCounter};
-    use std::sync::OnceLock;
+cynthia_obs::metric! {
+    leases: counter(
+        "cynthia_billing_leases_total",
+        "Instance leases launched by billing meters"
+    );
+    settled: float_counter(
+        "cynthia_billing_settled_dollars_total",
+        "Settled lease cost in dollars (realized Eq. 8 spend)"
+    );
+}
 
-    fn leases() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().counter(
-                "cynthia_billing_leases_total",
-                "Instance leases launched by billing meters",
-            )
-        })
-    }
-
-    fn settled() -> &'static FloatCounter {
-        static C: OnceLock<FloatCounter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().float_counter(
-                "cynthia_billing_settled_dollars_total",
-                "Settled lease cost in dollars (realized Eq. 8 spend)",
-            )
-        })
-    }
-
-    /// Records a lease launch.
-    #[inline]
-    pub fn lease_launched() {
-        if cynthia_obs::enabled() {
-            leases().inc();
-        }
-    }
-
-    /// Records a terminated lease's settled cost.
-    #[inline]
-    pub fn lease_settled(cost: f64) {
-        if cynthia_obs::enabled() {
-            settled().add(cost);
-        }
+/// Records a lease launch.
+#[inline]
+pub fn lease_launched() {
+    if cynthia_obs::enabled() {
+        leases().inc();
     }
 }
 
-#[cfg(feature = "obs")]
-pub use real::*;
-
-/// No-op hook bodies compiled when the `obs` feature is off.
-#[cfg(not(feature = "obs"))]
-mod stub {
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn lease_launched() {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn lease_settled(_cost: f64) {}
+/// Records a terminated lease's settled cost.
+#[inline]
+pub fn lease_settled(cost: f64) {
+    if cynthia_obs::enabled() {
+        settled().add(cost);
+    }
 }
-
-#[cfg(not(feature = "obs"))]
-pub use stub::*;

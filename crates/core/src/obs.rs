@@ -1,198 +1,114 @@
-//! Instrumentation hooks for the Alg. 1 provisioner (feature `obs`).
+//! Instrumentation hooks for the Alg. 1 provisioner.
 //!
-//! Call sites invoke these unconditionally; with the feature off they are
-//! empty inline bodies. With it on, planning runs are wrapped in
+//! Call sites invoke these unconditionally. Planning runs are wrapped in
 //! wall-clock spans on the `"provision"` track (the band search is a real
 //! search over instance types, so its per-type child spans nest under the
 //! plan span) and counters/histograms land in the process-wide registry.
-//! Hooks never influence which plan is chosen.
+//! With the kill switch ([`cynthia_obs::set_enabled`]) and the tracer
+//! off, the hooks neither allocate nor read the clock. Hooks never
+//! influence which plan is chosen.
 
-#[cfg(feature = "obs")]
-mod real {
-    use cynthia_obs::{metrics, tracer, Counter, Histogram, WallSpan};
-    use std::sync::OnceLock;
-    use std::time::Instant;
+use cynthia_obs::registry::{TIME_BUCKETS, WIDTH_BUCKETS};
+use cynthia_obs::{tracer, WallSpan};
+use std::time::Instant;
 
-    const TRACK: &str = "provision";
+const TRACK: &str = "provision";
 
-    fn plans() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().counter(
-                "cynthia_provision_plans_total",
-                "Alg. 1 planning runs started",
-            )
-        })
-    }
+cynthia_obs::metric! {
+    plans: counter("cynthia_provision_plans_total", "Alg. 1 planning runs started");
+    infeasible: counter(
+        "cynthia_provision_infeasible_total",
+        "Planning runs that found no feasible plan"
+    );
+    candidates: counter(
+        "cynthia_provision_candidates_total",
+        "Candidate (type, n, n_ps) points evaluated by the band search"
+    );
+    cache_hits: counter(
+        "cynthia_provision_cache_hits_total",
+        "EvalCache lookups answered without re-evaluating the model"
+    );
+    cache_misses: counter(
+        "cynthia_provision_cache_misses_total",
+        "EvalCache lookups that evaluated the performance model"
+    );
+    band_width: histogram(
+        "cynthia_provision_band_width",
+        "Theorem 4.1 worker-band width (n_upper - n_lower + 1) per instance type",
+        WIDTH_BUCKETS
+    );
+    plan_seconds: histogram(
+        "cynthia_provision_plan_seconds",
+        "Wall-clock seconds per Alg. 1 planning run (Sec. 5.3 milliseconds claim)",
+        TIME_BUCKETS
+    );
+}
 
-    fn infeasible() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().counter(
-                "cynthia_provision_infeasible_total",
-                "Planning runs that found no feasible plan",
-            )
-        })
-    }
+/// Guard wrapping one planning run: a wall span plus the latency
+/// histogram observation on drop.
+pub struct PlanGuard {
+    /// Start of the run; `None` when the kill switch was off at the start.
+    started: Option<Instant>,
+    _span: WallSpan<'static>,
+}
 
-    fn candidates() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().counter(
-                "cynthia_provision_candidates_total",
-                "Candidate (type, n, n_ps) points evaluated by the band search",
-            )
-        })
-    }
-
-    fn cache_hits() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().counter(
-                "cynthia_provision_cache_hits_total",
-                "EvalCache lookups answered without re-evaluating the model",
-            )
-        })
-    }
-
-    fn cache_misses() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| {
-            metrics().counter(
-                "cynthia_provision_cache_misses_total",
-                "EvalCache lookups that evaluated the performance model",
-            )
-        })
-    }
-
-    fn band_width() -> &'static Histogram {
-        static H: OnceLock<Histogram> = OnceLock::new();
-        H.get_or_init(|| {
-            metrics().histogram(
-                "cynthia_provision_band_width",
-                cynthia_obs::registry::WIDTH_BUCKETS,
-                "Theorem 4.1 worker-band width (n_upper - n_lower + 1) per instance type",
-            )
-        })
-    }
-
-    fn plan_seconds() -> &'static Histogram {
-        static H: OnceLock<Histogram> = OnceLock::new();
-        H.get_or_init(|| {
-            metrics().histogram(
-                "cynthia_provision_plan_seconds",
-                cynthia_obs::registry::TIME_BUCKETS,
-                "Wall-clock seconds per Alg. 1 planning run (Sec. 5.3 milliseconds claim)",
-            )
-        })
-    }
-
-    /// Guard wrapping one planning run: a wall span plus the latency
-    /// histogram observation on drop.
-    pub struct PlanGuard {
-        started: Instant,
-        _span: WallSpan<'static>,
-    }
-
-    impl Drop for PlanGuard {
-        fn drop(&mut self) {
+impl Drop for PlanGuard {
+    fn drop(&mut self) {
+        if let Some(started) = self.started {
             if cynthia_obs::enabled() {
-                plan_seconds().observe(self.started.elapsed().as_secs_f64());
+                plan_seconds().observe(started.elapsed().as_secs_f64());
             }
         }
     }
+}
 
-    /// Marks the start of a planning run; drop the guard when it returns.
-    pub fn plan_started(name: &str) -> PlanGuard {
-        if cynthia_obs::enabled() {
-            plans().inc();
-        }
-        PlanGuard {
-            started: Instant::now(),
-            _span: tracer().wall_span(TRACK, name),
-        }
+/// Marks the start of a planning run; drop the guard when it returns.
+pub fn plan_started(name: &str) -> PlanGuard {
+    let enabled = cynthia_obs::enabled();
+    if enabled {
+        plans().inc();
     }
-
-    /// Wall span for one instance type's band scan, nested in the plan span.
-    pub fn type_span(ty_name: &str) -> WallSpan<'static> {
-        tracer().wall_span(TRACK, &format!("provision.band.{ty_name}"))
-    }
-
-    /// Records one instance type's Theorem 4.1 band width.
-    pub fn band_computed(lo: u32, hi: u32) {
-        if cynthia_obs::enabled() && hi >= lo {
-            band_width().observe((hi - lo + 1) as f64);
-        }
-    }
-
-    /// Records the run's candidate count and outcome.
-    pub fn plan_finished(evaluated: u32, feasible: bool) {
-        if !cynthia_obs::enabled() {
-            return;
-        }
-        candidates().add(evaluated as u64);
-        if !feasible {
-            infeasible().inc();
-        }
-    }
-
-    /// Records an EvalCache hit.
-    #[inline]
-    pub fn cache_hit() {
-        if cynthia_obs::enabled() {
-            cache_hits().inc();
-        }
-    }
-
-    /// Records an EvalCache miss.
-    #[inline]
-    pub fn cache_miss() {
-        if cynthia_obs::enabled() {
-            cache_misses().inc();
-        }
+    PlanGuard {
+        started: enabled.then(Instant::now),
+        _span: tracer().wall_span(TRACK, name),
     }
 }
 
-#[cfg(feature = "obs")]
-pub use real::*;
-
-/// No-op hook bodies compiled when the `obs` feature is off.
-#[cfg(not(feature = "obs"))]
-mod stub {
-    /// Inert stand-in for the plan-run guard.
-    pub struct PlanGuard;
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn plan_started(_name: &str) -> PlanGuard {
-        PlanGuard
-    }
-
-    /// Inert stand-in for the per-type band-scan span.
-    pub struct TypeSpan;
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn type_span(_ty_name: &str) -> TypeSpan {
-        TypeSpan
-    }
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn band_computed(_lo: u32, _hi: u32) {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn plan_finished(_evaluated: u32, _feasible: bool) {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn cache_hit() {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn cache_miss() {}
+/// Wall span for one instance type's band scan, nested in the plan span.
+pub fn type_span(ty_name: &str) -> WallSpan<'static> {
+    tracer().wall_span(TRACK, format_args!("provision.band.{ty_name}"))
 }
 
-#[cfg(not(feature = "obs"))]
-pub use stub::*;
+/// Records one instance type's Theorem 4.1 band width.
+pub fn band_computed(lo: u32, hi: u32) {
+    if cynthia_obs::enabled() && hi >= lo {
+        band_width().observe((hi - lo + 1) as f64);
+    }
+}
+
+/// Records the run's candidate count and outcome.
+pub fn plan_finished(evaluated: u32, feasible: bool) {
+    if !cynthia_obs::enabled() {
+        return;
+    }
+    candidates().add(evaluated as u64);
+    if !feasible {
+        infeasible().inc();
+    }
+}
+
+/// Records an EvalCache hit.
+#[inline]
+pub fn cache_hit() {
+    if cynthia_obs::enabled() {
+        cache_hits().inc();
+    }
+}
+
+/// Records an EvalCache miss.
+#[inline]
+pub fn cache_miss() {
+    if cynthia_obs::enabled() {
+        cache_misses().inc();
+    }
+}

@@ -44,8 +44,8 @@ pub struct PlannerOptions {
     /// the cheapest feasible point.
     pub first_feasible: bool,
     /// Use the Theorem 4.1 bounds to narrow the search. When `false`,
-    /// scan `1..=max_workers` (the `ablation_bounds` benchmark measures
-    /// what the bounds buy).
+    /// scan `1..=max_workers` (perfbench `plan-grid` and `cynthia-exp
+    /// ablations` measure what the bounds buy).
     pub use_bounds: bool,
     /// Hard cap on workers considered.
     pub max_workers: u32,

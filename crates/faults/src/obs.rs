@@ -1,44 +1,25 @@
-//! Instrumentation hooks for fault injection (feature `obs`).
+//! Instrumentation hooks for fault injection.
 //!
-//! With the feature off these compile to empty inline bodies; with it on
-//! they bump per-kind counters in the process-wide registry
-//! (`cynthia_faults_injected_total{kind=...}`). Hooks only read the drawn
+//! Drawn plans bump per-kind counters in the process-wide registry
+//! (`cynthia_faults_injected_total{kind=...}`) unless the kill switch
+//! ([`cynthia_obs::set_enabled`]) is off. Hooks only read the drawn
 //! plan — the injector's RNG streams are untouched either way.
 
-#[cfg(feature = "obs")]
-mod real {
-    use crate::plan::FaultEvent;
-    use cynthia_obs::metrics;
+use crate::plan::FaultEvent;
+use cynthia_obs::metrics;
 
-    /// Records one counter bump per drawn fault event, labeled by kind.
-    pub fn plan_drawn(events: &[FaultEvent]) {
-        if !cynthia_obs::enabled() || events.is_empty() {
-            return;
-        }
-        for e in events {
-            metrics()
-                .counter_with(
-                    "cynthia_faults_injected_total",
-                    &[("kind", e.kind.label())],
-                    "Fault events drawn by the injector, by kind",
-                )
-                .inc();
-        }
+/// Records one counter bump per drawn fault event, labeled by kind.
+pub fn plan_drawn(events: &[FaultEvent]) {
+    if !cynthia_obs::enabled() || events.is_empty() {
+        return;
+    }
+    for e in events {
+        metrics()
+            .counter_with(
+                "cynthia_faults_injected_total",
+                &[("kind", e.kind.label())],
+                "Fault events drawn by the injector, by kind",
+            )
+            .inc();
     }
 }
-
-#[cfg(feature = "obs")]
-pub use real::*;
-
-/// No-op hook bodies compiled when the `obs` feature is off.
-#[cfg(not(feature = "obs"))]
-mod stub {
-    use crate::plan::FaultEvent;
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn plan_drawn(_events: &[FaultEvent]) {}
-}
-
-#[cfg(not(feature = "obs"))]
-pub use stub::*;

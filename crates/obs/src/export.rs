@@ -1,7 +1,7 @@
-//! Artifact writers shared by examples, benches, and CI.
+//! Artifact writers shared by examples and CI.
 //!
-//! Every JSON artifact the repo emits (`CHAOS_drill.json`, the
-//! `BENCH_*.json` reports, `OBS_trace.json`, …) goes through this module
+//! Every JSON artifact the repo emits (`CHAOS_drill.json`,
+//! `OBS_trace.json`, …) goes through this module
 //! so the on-disk format is decided in exactly one place: pretty-printed
 //! with 2-space indentation and a trailing newline, which diffs cleanly
 //! and round-trips through the vendored `serde_json` shim.

@@ -15,19 +15,22 @@
 //!   epoch), exported as JSONL and as a Chrome trace-event file
 //!   (`chrome://tracing` / Perfetto).
 //! * [`export`] — the one JSON-artifact writer the repo's examples and
-//!   bench emitters share.
+//!   CLIs share.
+//! * [`metric!`] — declares the cached metric accessors the hook modules
+//!   of the other crates record through.
 //!
 //! The crate itself is dependency-light (vendored shims only) and
 //! `#![forbid(unsafe_code)]`. Instrumentation *call sites* in the other
-//! crates are feature-gated behind each crate's `obs` feature (on by
-//! default; `--no-default-features` compiles them out entirely), and are
-//! required never to perturb simulation results — they only record.
+//! crates live in one `obs` hook module per crate. They are always
+//! compiled in, and are required never to perturb simulation results —
+//! they only record.
 //!
 //! ## Globals
 //!
 //! Process-wide instrumentation writes to [`metrics()`] and [`tracer()`].
-//! [`set_enabled`] is a master kill switch (used by the overhead bench to
-//! measure the enabled-vs-disabled delta without recompiling); the tracer
+//! [`set_enabled`] is the master kill switch and the only way to turn
+//! the hooks off (perfbench's `obs.trace_overhead_pct` measures hooks
+//! plus tracer against both off); the tracer
 //! additionally starts *disabled* and must be switched on per session
 //! ([`span::Tracer::set_enabled`]) because span recording is only
 //! meaningful while one simulation at a time is being observed. Metric
@@ -52,7 +55,7 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Master kill switch for all instrumentation hooks. Hooks check this
 /// before recording; flipping it off makes every hook a near-free atomic
-/// load (the overhead bench measures exactly this delta).
+/// load that neither allocates nor reads the clock.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -74,6 +77,47 @@ pub fn metrics() -> &'static MetricsRegistry {
 pub fn tracer() -> &'static Tracer {
     static TRACER: OnceLock<Tracer> = OnceLock::new();
     TRACER.get_or_init(|| Tracer::new(1 << 18))
+}
+
+/// Declares lazily registered, cached accessors for process-wide
+/// metrics: one `fn name() -> &'static Handle` per line, registered in
+/// [`metrics()`] on first use, so an export lists only the metrics a run
+/// actually touched. Kinds are `counter`, `float_counter` and `histogram`
+/// (which takes its bucket bounds last).
+///
+/// ```
+/// cynthia_obs::metric! {
+///     runs: counter("doc_runs_total", "Runs completed");
+///     spend: float_counter("doc_spend_dollars_total", "Dollars spent");
+///     latency: histogram("doc_run_seconds", "Seconds per run", cynthia_obs::registry::TIME_BUCKETS);
+/// }
+///
+/// runs().inc();
+/// spend().add(0.5);
+/// latency().observe(0.01);
+/// assert!(std::ptr::eq(runs(), runs()));
+/// assert_eq!(cynthia_obs::metrics().counter("doc_runs_total", "").get(), 1);
+/// ```
+#[macro_export]
+macro_rules! metric {
+    (@cached $fn_name:ident, $ty:ty, $ctor:ident($($arg:expr),+)) => {
+        fn $fn_name() -> &'static $ty {
+            static M: ::std::sync::OnceLock<$ty> = ::std::sync::OnceLock::new();
+            M.get_or_init(|| $crate::metrics().$ctor($($arg),+))
+        }
+    };
+    (@one $fn_name:ident, counter, $name:literal, $help:literal) => {
+        $crate::metric!(@cached $fn_name, $crate::Counter, counter($name, $help));
+    };
+    (@one $fn_name:ident, float_counter, $name:literal, $help:literal) => {
+        $crate::metric!(@cached $fn_name, $crate::FloatCounter, float_counter($name, $help));
+    };
+    (@one $fn_name:ident, histogram, $name:literal, $help:literal, $buckets:expr) => {
+        $crate::metric!(@cached $fn_name, $crate::Histogram, histogram($name, $buckets, $help));
+    };
+    ($($fn_name:ident: $kind:ident($name:literal, $help:literal $(, $buckets:expr)?);)+) => {
+        $($crate::metric!(@one $fn_name, $kind, $name, $help $(, $buckets)?);)+
+    };
 }
 
 /// Whether span recording is active right now: the master switch is on

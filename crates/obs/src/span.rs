@@ -25,6 +25,7 @@
 
 use parking_lot::Mutex;
 use serde::{Number, Serialize, Value};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -151,13 +152,16 @@ impl Tracer {
 
     /// Opens a span on `track` at virtual time `start`.
     pub fn begin_at(&self, track: &str, name: &str, start: f64) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.open(track, name.to_string(), start);
         }
-        self.inner.lock().stack_mut(track).push(OpenSpan {
-            name: name.to_string(),
-            start,
-        });
+    }
+
+    fn open(&self, track: &str, name: String, start: f64) {
+        self.inner
+            .lock()
+            .stack_mut(track)
+            .push(OpenSpan { name, start });
     }
 
     /// Closes the innermost open span on `track` at virtual time `end`,
@@ -202,15 +206,16 @@ impl Tracer {
     }
 
     /// Opens a wall-clock span on `track`; the returned guard records it
-    /// when dropped. Returns an inert guard while disabled.
-    pub fn wall_span(&self, track: &str, name: &str) -> WallSpan<'_> {
+    /// when dropped. Returns an inert guard while disabled, without
+    /// formatting `name`.
+    pub fn wall_span(&self, track: &str, name: impl fmt::Display) -> WallSpan<'_> {
         if !self.is_enabled() {
             return WallSpan {
                 tracer: None,
                 track: String::new(),
             };
         }
-        self.begin_at(track, name, self.wall_now());
+        self.open(track, name.to_string(), self.wall_now());
         WallSpan {
             tracer: Some(self),
             track: track.to_string(),

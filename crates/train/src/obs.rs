@@ -1,4 +1,4 @@
-//! Instrumentation hooks for the training engine (feature `obs`).
+//! Instrumentation hooks for the training engine.
 //!
 //! The engine is the hottest code in the repo, so the hooks follow two
 //! rules. Rare events (rollbacks, restores) record live; per-iteration
@@ -7,8 +7,8 @@
 //! atomic load when it is not); everything else is bulk-recorded once per
 //! run from the engine's existing accounting in `finish()`. Hooks read
 //! engine state, never mutate it — `simulate_faulted` must return a
-//! bit-identical `TrainingReport` whether the feature is on, off, or the
-//! kill switch is thrown (`tests/obs_determinism.rs` enforces this).
+//! bit-identical `TrainingReport` whether the hooks record or the kill
+//! switch is thrown (`tests/obs_determinism.rs` enforces this).
 //!
 //! Spans live on per-run virtual-clock tracks — `train#<id>` for the
 //! `train.run` root and its BSP `train.iteration` children (with
@@ -16,6 +16,10 @@
 //! `recovery#<id>` for rollbacks and `recovery#<id>/w<j>` for restores —
 //! because each engine's virtual clock restarts at zero and per-worker
 //! events genuinely overlap in time.
+
+use cynthia_obs::registry::TIME_BUCKETS;
+use cynthia_obs::tracer;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-run totals handed to [`record_run`] from the engine's `finish()`.
 pub struct RunTotals<'a> {
@@ -45,331 +49,209 @@ pub struct RunTotals<'a> {
     pub degraded_secs: f64,
 }
 
-#[cfg(feature = "obs")]
-mod real {
-    use super::RunTotals;
-    use cynthia_obs::registry::TIME_BUCKETS;
-    use cynthia_obs::{metrics, tracer, Counter, FloatCounter, Histogram};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
+/// Every engine run gets its own span track (`train#<id>`): virtual
+/// clocks restart at zero per run, so spans of different runs must
+/// not share a timeline. ASP cycles and concurrent restores likewise
+/// get per-worker lanes (`…/w<j>`) because they genuinely overlap.
+static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-    /// Every engine run gets its own span track (`train#<id>`): virtual
-    /// clocks restart at zero per run, so spans of different runs must
-    /// not share a timeline. ASP cycles and concurrent restores likewise
-    /// get per-worker lanes (`…/w<j>`) because they genuinely overlap.
-    static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
+fn train_track(run: u64) -> String {
+    format!("train#{run}")
+}
 
-    fn train_track(run: u64) -> String {
-        format!("train#{run}")
-    }
+fn recovery_track(run: u64) -> String {
+    format!("recovery#{run}")
+}
 
-    fn recovery_track(run: u64) -> String {
-        format!("recovery#{run}")
-    }
-
-    macro_rules! cached {
-        ($fn_name:ident, $ctor:ident, $name:literal, $help:literal, $ty:ty) => {
-            fn $fn_name() -> &'static $ty {
-                static M: OnceLock<$ty> = OnceLock::new();
-                M.get_or_init(|| metrics().$ctor($name, $help))
-            }
-        };
-    }
-
-    macro_rules! cached_hist {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            fn $fn_name() -> &'static Histogram {
-                static M: OnceLock<Histogram> = OnceLock::new();
-                M.get_or_init(|| metrics().histogram($name, TIME_BUCKETS, $help))
-            }
-        };
-    }
-
-    cached!(
-        runs,
-        counter,
-        "cynthia_train_runs_total",
-        "Training simulations completed",
-        Counter
-    );
-    cached!(
-        updates,
-        counter,
+cynthia_obs::metric! {
+    runs: counter("cynthia_train_runs_total", "Training simulations completed");
+    updates: counter(
         "cynthia_train_updates_total",
-        "Model updates simulated (BSP iterations / ASP commits)",
-        Counter
+        "Model updates simulated (BSP iterations / ASP commits)"
     );
-    cached!(
-        rollbacks,
-        counter,
+    rollbacks: counter(
         "cynthia_train_rollbacks_total",
-        "Checkpoint rollbacks after PS loss",
-        Counter
+        "Checkpoint rollbacks after PS loss"
     );
-    cached!(
-        lost,
-        counter,
+    lost: counter(
         "cynthia_train_lost_updates_total",
-        "Updates rolled back to a checkpoint",
-        Counter
+        "Updates rolled back to a checkpoint"
     );
-    cached!(
-        replayed,
-        counter,
+    replayed: counter(
         "cynthia_train_replayed_updates_total",
-        "Updates recomputed after rollbacks",
-        Counter
+        "Updates recomputed after rollbacks"
     );
-    cached!(
-        restores,
-        counter,
+    restores: counter(
         "cynthia_train_restores_total",
-        "Checkpoint restores (full parameter re-pulls)",
-        Counter
+        "Checkpoint restores (full parameter re-pulls)"
     );
-    cached!(
-        revocations,
-        counter,
+    revocations: counter(
         "cynthia_train_revocations_total",
-        "Worker instances lost (spot reclaims, crashes, departures)",
-        Counter
+        "Worker instances lost (spot reclaims, crashes, departures)"
     );
-    cached!(
-        repairs,
-        counter,
-        "cynthia_train_repairs_total",
-        "Workers rejoined after an outage",
-        Counter
-    );
-    cached!(
-        retries,
-        counter,
+    repairs: counter("cynthia_train_repairs_total", "Workers rejoined after an outage");
+    retries: counter(
         "cynthia_train_retries_total",
-        "Recovery-policy restart attempts",
-        Counter
+        "Recovery-policy restart attempts"
     );
-    cached!(
-        failovers,
-        counter,
+    failovers: counter(
         "cynthia_train_failovers_total",
-        "PS failovers re-sharding chunks onto survivors",
-        Counter
+        "PS failovers re-sharding chunks onto survivors"
     );
-    cached!(
-        comp_total,
-        float_counter,
+    comp_total: float_counter(
         "cynthia_train_comp_seconds_total",
-        "Measured-window compute seconds (paper t_comp)",
-        FloatCounter
+        "Measured-window compute seconds (paper t_comp)"
     );
-    cached!(
-        comm_total,
-        float_counter,
+    comm_total: float_counter(
         "cynthia_train_comm_seconds_total",
-        "Measured-window communication seconds (paper t_comm)",
-        FloatCounter
+        "Measured-window communication seconds (paper t_comm)"
     );
-    cached!(
-        stall_total,
-        float_counter,
+    stall_total: float_counter(
         "cynthia_train_stall_seconds_total",
-        "Measured-window stall seconds (iteration minus comp/comm overlap)",
-        FloatCounter
+        "Measured-window stall seconds (iteration minus comp/comm overlap)"
     );
-    cached!(
-        downtime,
-        float_counter,
+    downtime: float_counter(
         "cynthia_train_downtime_seconds_total",
-        "Seconds with zero fleet-wide progress",
-        FloatCounter
+        "Seconds with zero fleet-wide progress"
     );
-    cached!(
-        degraded,
-        float_counter,
+    degraded: float_counter(
         "cynthia_train_degraded_seconds_total",
-        "Seconds degraded but progressing",
-        FloatCounter
+        "Seconds degraded but progressing"
     );
-    cached_hist!(
-        iter_hist,
+    iter_hist: histogram(
         "cynthia_train_iter_seconds",
-        "Per-iteration wall seconds over the measured window"
+        "Per-iteration wall seconds over the measured window",
+        TIME_BUCKETS
     );
-    cached_hist!(
-        comp_hist,
+    comp_hist: histogram(
         "cynthia_train_comp_seconds",
-        "Per-iteration compute seconds"
+        "Per-iteration compute seconds",
+        TIME_BUCKETS
     );
-    cached_hist!(
-        comm_hist,
+    comm_hist: histogram(
         "cynthia_train_comm_seconds",
-        "Per-iteration communication seconds"
+        "Per-iteration communication seconds",
+        TIME_BUCKETS
     );
-    cached_hist!(
-        restore_hist,
+    restore_hist: histogram(
         "cynthia_train_restore_seconds",
-        "Virtual seconds per checkpoint restore"
+        "Virtual seconds per checkpoint restore",
+        TIME_BUCKETS
     );
+}
 
-    /// Opens the `train.run` root span at virtual time `t0`. Returns the
-    /// run's track id (0 while spans are off) for the other span hooks.
-    pub fn run_begin(t0: f64) -> u64 {
-        if !cynthia_obs::span_recording() {
-            return 0;
-        }
-        let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-        tracer().begin_at(&train_track(run), "train.run", t0);
-        run
+/// Opens the `train.run` root span at virtual time `t0`. Returns the
+/// run's track id (0 while spans are off) for the other span hooks.
+pub fn run_begin(t0: f64) -> u64 {
+    if !cynthia_obs::span_recording() {
+        return 0;
     }
+    let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
+    tracer().begin_at(&train_track(run), "train.run", t0);
+    run
+}
 
-    /// Closes the `train.run` root span at virtual time `t1`.
-    pub fn run_end(run: u64, t1: f64, updates: u64) {
-        if run != 0 && cynthia_obs::span_recording() {
-            tracer().end_at(&train_track(run), t1, &[("updates", updates as f64)]);
-        }
+/// Closes the `train.run` root span at virtual time `t1`.
+pub fn run_end(run: u64, t1: f64, updates: u64) {
+    if run != 0 && cynthia_obs::span_recording() {
+        tracer().end_at(&train_track(run), t1, &[("updates", updates as f64)]);
     }
+}
 
-    /// Records one finished iteration/cycle as a `train.iteration` span
-    /// with its comp/comm/stall breakdown. BSP iterations are fleet-wide
-    /// (`lane: None`, nested in `train.run`); ASP cycles overlap across
-    /// workers and go to per-worker lane tracks (`lane: Some(j)`).
-    pub fn iteration(run: u64, lane: Option<usize>, start: f64, end: f64, comp: f64, comm: f64) {
-        if run == 0 || !cynthia_obs::span_recording() {
-            return;
-        }
-        let track = match lane {
-            None => train_track(run),
-            Some(j) => format!("train#{run}/w{j}"),
-        };
-        let stall = ((end - start) - comp - comm).max(0.0);
+/// Records one finished iteration/cycle as a `train.iteration` span
+/// with its comp/comm/stall breakdown. BSP iterations are fleet-wide
+/// (`lane: None`, nested in `train.run`); ASP cycles overlap across
+/// workers and go to per-worker lane tracks (`lane: Some(j)`).
+pub fn iteration(run: u64, lane: Option<usize>, start: f64, end: f64, comp: f64, comm: f64) {
+    if run == 0 || !cynthia_obs::span_recording() {
+        return;
+    }
+    let track = match lane {
+        None => train_track(run),
+        Some(j) => format!("train#{run}/w{j}"),
+    };
+    let stall = ((end - start) - comp - comm).max(0.0);
+    tracer().complete(
+        &track,
+        "train.iteration",
+        start,
+        end,
+        &[
+            ("comp_secs", comp),
+            ("comm_secs", comm),
+            ("stall_secs", stall),
+        ],
+    );
+}
+
+/// Records a checkpoint rollback at virtual time `at`.
+pub fn rollback(run: u64, at: f64, lost_updates: u64) {
+    if !cynthia_obs::enabled() {
+        return;
+    }
+    rollbacks().inc();
+    if run != 0 && cynthia_obs::span_recording() {
         tracer().complete(
-            &track,
-            "train.iteration",
-            start,
-            end,
-            &[
-                ("comp_secs", comp),
-                ("comm_secs", comm),
-                ("stall_secs", stall),
-            ],
+            &recovery_track(run),
+            "recover.rollback",
+            at,
+            at,
+            &[("lost_updates", lost_updates as f64)],
         );
     }
+}
 
-    /// Records a checkpoint rollback at virtual time `at`.
-    pub fn rollback(run: u64, at: f64, lost_updates: u64) {
-        if !cynthia_obs::enabled() {
-            return;
-        }
-        rollbacks().inc();
-        if run != 0 && cynthia_obs::span_recording() {
-            tracer().complete(
-                &recovery_track(run),
-                "recover.rollback",
-                at,
-                at,
-                &[("lost_updates", lost_updates as f64)],
-            );
-        }
+/// Records a finished checkpoint restore for worker `j`. Restores of
+/// different workers overlap (a fleet-wide resume restores everyone at
+/// once), so each goes to its worker's recovery lane.
+pub fn restore(run: u64, start: f64, end: f64, j: usize) {
+    if !cynthia_obs::enabled() {
+        return;
     }
-
-    /// Records a finished checkpoint restore for worker `j`. Restores of
-    /// different workers overlap (a fleet-wide resume restores everyone at
-    /// once), so each goes to its worker's recovery lane.
-    pub fn restore(run: u64, start: f64, end: f64, j: usize) {
-        if !cynthia_obs::enabled() {
-            return;
-        }
-        restores().inc();
-        restore_hist().observe(end - start);
-        if run != 0 && cynthia_obs::span_recording() {
-            tracer().complete(
-                &format!("recovery#{run}/w{j}"),
-                "recover.restore",
-                start,
-                end,
-                &[("worker", j as f64)],
-            );
-        }
-    }
-
-    /// Bulk-records a completed run's totals and per-iteration samples.
-    pub fn record_run(t: &RunTotals<'_>) {
-        if !cynthia_obs::enabled() {
-            return;
-        }
-        runs().inc();
-        updates().add(t.updates);
-        lost().add(t.lost_updates);
-        replayed().add(t.replayed_updates);
-        revocations().add(t.revocations as u64);
-        repairs().add(t.repairs as u64);
-        retries().add(t.retries as u64);
-        failovers().add(t.failovers as u64);
-        downtime().add(t.downtime_secs);
-        degraded().add(t.degraded_secs);
-        let mut iter_sum = 0.0;
-        for &v in t.iter_samples {
-            iter_hist().observe(v);
-            iter_sum += v;
-        }
-        let mut comp_sum = 0.0;
-        for &v in t.comp_samples {
-            comp_hist().observe(v);
-            comp_sum += v;
-        }
-        let mut comm_sum = 0.0;
-        for &v in t.comm_samples {
-            comm_hist().observe(v);
-            comm_sum += v;
-        }
-        comp_total().add(comp_sum);
-        comm_total().add(comm_sum);
-        stall_total().add((iter_sum - comp_sum - comm_sum).max(0.0));
+    restores().inc();
+    restore_hist().observe(end - start);
+    if run != 0 && cynthia_obs::span_recording() {
+        tracer().complete(
+            &format!("recovery#{run}/w{j}"),
+            "recover.restore",
+            start,
+            end,
+            &[("worker", j as f64)],
+        );
     }
 }
 
-#[cfg(feature = "obs")]
-pub use real::*;
-
-/// No-op hook bodies compiled when the `obs` feature is off.
-#[cfg(not(feature = "obs"))]
-mod stub {
-    use super::RunTotals;
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn run_begin(_t0: f64) -> u64 {
-        0
+/// Bulk-records a completed run's totals and per-iteration samples.
+pub fn record_run(t: &RunTotals<'_>) {
+    if !cynthia_obs::enabled() {
+        return;
     }
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn run_end(_run: u64, _t1: f64, _updates: u64) {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn iteration(
-        _run: u64,
-        _lane: Option<usize>,
-        _start: f64,
-        _end: f64,
-        _comp: f64,
-        _comm: f64,
-    ) {
+    runs().inc();
+    updates().add(t.updates);
+    lost().add(t.lost_updates);
+    replayed().add(t.replayed_updates);
+    revocations().add(t.revocations as u64);
+    repairs().add(t.repairs as u64);
+    retries().add(t.retries as u64);
+    failovers().add(t.failovers as u64);
+    downtime().add(t.downtime_secs);
+    degraded().add(t.degraded_secs);
+    let mut iter_sum = 0.0;
+    for &v in t.iter_samples {
+        iter_hist().observe(v);
+        iter_sum += v;
     }
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn rollback(_run: u64, _at: f64, _lost_updates: u64) {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn restore(_run: u64, _start: f64, _end: f64, _j: usize) {}
-
-    /// No-op: instrumentation is compiled out.
-    #[inline(always)]
-    pub fn record_run(_t: &RunTotals<'_>) {}
+    let mut comp_sum = 0.0;
+    for &v in t.comp_samples {
+        comp_hist().observe(v);
+        comp_sum += v;
+    }
+    let mut comm_sum = 0.0;
+    for &v in t.comm_samples {
+        comm_hist().observe(v);
+        comm_sum += v;
+    }
+    comp_total().add(comp_sum);
+    comm_total().add(comm_sum);
+    stall_total().add((iter_sum - comp_sum - comm_sum).max(0.0));
 }
-
-#[cfg(not(feature = "obs"))]
-pub use stub::*;

@@ -15,8 +15,7 @@
 //! (one span per line), `OBS_metrics.prom` (Prometheus text exposition),
 //! and `OBS_metrics.json`. Finishes by re-parsing its own exports and
 //! checking span well-nesting and per-layer metric coverage, so CI can
-//! run it as a smoke test. With `--no-default-features` the hooks are
-//! compiled out and the exports are empty but still valid.
+//! run it as a smoke test.
 
 use cynthia::prelude::*;
 use cynthia_obs::span::{to_chrome_trace, to_jsonl, validate_well_nested};
@@ -139,41 +138,36 @@ fn main() {
         "one X event per span"
     );
 
-    if cfg!(feature = "obs") {
-        for layer in ["provision", "train#", "recovery#", "slo#"] {
-            assert!(
-                spans.iter().any(|s| s.track.starts_with(layer)),
-                "no spans on any {layer}* track"
-            );
-        }
-        for metric in [
-            "cynthia_provision_plans_total",    // provisioner
-            "cynthia_provision_band_width",     // Theorem 4.1 bands
-            "cynthia_sim_events_total",         // event queue
-            "cynthia_train_runs_total",         // engine
-            "cynthia_train_comp_seconds_total", // paper t_comp
-            "cynthia_faults_injected_total",    // injector
-            "cynthia_slo_replans_total",        // guard
-        ] {
-            assert!(
-                prom.contains(metric),
-                "metric {metric} missing from exposition"
-            );
-        }
-        println!(
-            "\n{} spans on {} tracks, {} metrics -> OBS_trace.json / OBS_trace.jsonl / \
-             OBS_metrics.prom / OBS_metrics.json",
-            spans.len(),
-            {
-                let mut tracks: Vec<&str> = spans.iter().map(|s| s.track.as_str()).collect();
-                tracks.sort_unstable();
-                tracks.dedup();
-                tracks.len()
-            },
-            metrics().len()
+    for layer in ["provision", "train#", "recovery#", "slo#"] {
+        assert!(
+            spans.iter().any(|s| s.track.starts_with(layer)),
+            "no spans on any {layer}* track"
         );
-    } else {
-        assert!(spans.is_empty() && metrics().is_empty());
-        println!("\nobs feature compiled out: exports written, trace and metrics empty");
     }
+    for metric in [
+        "cynthia_provision_plans_total",    // provisioner
+        "cynthia_provision_band_width",     // Theorem 4.1 bands
+        "cynthia_sim_events_total",         // event queue
+        "cynthia_train_runs_total",         // engine
+        "cynthia_train_comp_seconds_total", // paper t_comp
+        "cynthia_faults_injected_total",    // injector
+        "cynthia_slo_replans_total",        // guard
+    ] {
+        assert!(
+            prom.contains(metric),
+            "metric {metric} missing from exposition"
+        );
+    }
+    println!(
+        "\n{} spans on {} tracks, {} metrics -> OBS_trace.json / OBS_trace.jsonl / \
+         OBS_metrics.prom / OBS_metrics.json",
+        spans.len(),
+        {
+            let mut tracks: Vec<&str> = spans.iter().map(|s| s.track.as_str()).collect();
+            tracks.sort_unstable();
+            tracks.dedup();
+            tracks.len()
+        },
+        metrics().len()
+    );
 }

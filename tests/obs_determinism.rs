@@ -1,18 +1,18 @@
 //! Bit-determinism regression: observability must be a pure observer.
 //!
-//! `simulate_faulted` (and the SLO guard on top of it) must produce a
-//! bit-identical report whether the hooks are recording, killed at
-//! runtime ([`set_enabled`]), or compiled out entirely
-//! (`--no-default-features`). The in-process test covers the first two;
-//! the compiled-out half is pinned by the checked-in fingerprints under
-//! `tests/snapshots/faulted_fingerprints.txt`, which both feature builds
-//! must reproduce — CI runs this file in each. Regenerate after an
-//! *intentional* engine change with:
+//! `simulate_faulted`, the SLO guard on top of it, and the Alg. 1 planner
+//! must produce bit-identical output whether the hooks are recording or
+//! killed at runtime ([`set_enabled`]). The faulted runs are also pinned
+//! by the checked-in fingerprints under
+//! `tests/snapshots/faulted_fingerprints.txt`, so an engine change that
+//! moves a single bit fails here too. Regenerate after an *intentional*
+//! engine change with:
 //!
 //! ```text
 //! OBS_SNAPSHOT_UPDATE=1 cargo test --test obs_determinism
 //! ```
 
+use cynthia::core::provisioner::plan;
 use cynthia::obs::{set_enabled, tracer};
 use cynthia::prelude::*;
 use std::sync::Mutex;
@@ -79,8 +79,8 @@ fn hooks_and_kill_switch_do_not_perturb_the_simulation() {
         digests.push_str(&format!("{seed} {:016x}\n", fnv1a(&recorded)));
     }
 
-    // Cross-build pin: the `--no-default-features` build (hooks compiled
-    // out) must reproduce the same bytes as the instrumented build.
+    // Pin the bytes themselves, so an engine change cannot move the
+    // recorded and killed runs together unnoticed.
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/snapshots/faulted_fingerprints.txt"
@@ -139,4 +139,69 @@ fn kill_switch_does_not_perturb_the_slo_guard() {
         serde_json::to_string(&killed).expect("reports serialize"),
         "observability changed the guard's decisions"
     );
+}
+
+/// The planner benchmark's 30 `(deadline, target loss)` goals.
+fn goal_grid() -> Vec<Goal> {
+    let mut goals = Vec::new();
+    for deadline_secs in [1800.0, 2700.0, 3600.0, 5400.0, 7200.0, 10800.0] {
+        for target_loss in [0.6, 0.8, 1.0, 1.4, 2.0] {
+            goals.push(Goal {
+                deadline_secs,
+                target_loss,
+            });
+        }
+    }
+    goals
+}
+
+#[test]
+fn hooks_and_kill_switch_do_not_perturb_the_planner() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let catalog = default_catalog();
+    let workload = Workload::cifar10_bsp();
+    let profile = profile_workload(&workload, catalog.expect("m4.xlarge"), 99);
+    let loss = FittedLossModel {
+        sync: workload.sync,
+        beta0: workload.convergence.beta0,
+        beta1: workload.convergence.beta1,
+        r_squared: 1.0,
+    };
+    let goals = goal_grid();
+    let full_band = PlannerOptions {
+        use_bounds: false,
+        max_workers: 64,
+        ..PlannerOptions::default()
+    };
+    for opts in [PlannerOptions::default(), full_band] {
+        let plan_grid = || -> Vec<Option<Plan>> {
+            goals
+                .iter()
+                .map(|g| plan(&profile, &loss, &catalog, g, &opts))
+                .collect()
+        };
+
+        set_enabled(true);
+        tracer().set_enabled(true);
+        let recorded = plan_grid();
+        tracer().set_enabled(false);
+        let spans = tracer().drain();
+        set_enabled(false);
+        let killed = plan_grid();
+        set_enabled(true);
+
+        assert!(
+            spans.iter().any(|s| s.name.starts_with("provision.band.")),
+            "the recorded pass traced no band scans"
+        );
+        assert!(
+            recorded.iter().any(Option::is_some),
+            "no goal of the grid was feasible"
+        );
+        assert_eq!(
+            serde_json::to_string(&recorded).expect("plans serialize"),
+            serde_json::to_string(&killed).expect("plans serialize"),
+            "observability changed the planner's output ({opts:?})"
+        );
+    }
 }

@@ -1,9 +1,7 @@
 //! Property tests for the observability layer under chaos.
 //!
 //! The instrumentation shares process-global state (the metrics registry
-//! and the tracer), so every test here serializes on [`OBS_LOCK`]; with
-//! the `obs` feature compiled out the hooks are no-ops and the
-//! properties hold trivially (the coverage assertions are `cfg`-gated).
+//! and the tracer), so every test here serializes on [`OBS_LOCK`].
 //! Across the CI chaos seeds the layer must satisfy:
 //!
 //! * **counters are monotonic** — reads taken before and after work never
@@ -69,15 +67,13 @@ fn counters_are_monotonic_across_chaos_runs() {
             now.0 >= last.0 && now.1 >= last.1 && now.2 >= last.2,
             "seed {seed}: a counter decreased: {last:?} -> {now:?}"
         );
-        if cfg!(feature = "obs") {
-            assert_eq!(now.0, last.0 + 1, "seed {seed}: run not counted");
-            assert_eq!(
-                now.1,
-                last.1 + report.simulated_iterations,
-                "seed {seed}: updates counter disagrees with the report"
-            );
-            assert!(now.2 > last.2, "seed {seed}: no queue events counted");
-        }
+        assert_eq!(now.0, last.0 + 1, "seed {seed}: run not counted");
+        assert_eq!(
+            now.1,
+            last.1 + report.simulated_iterations,
+            "seed {seed}: updates counter disagrees with the report"
+        );
+        assert!(now.2 > last.2, "seed {seed}: no queue events counted");
         last = now;
     }
 }
@@ -110,12 +106,10 @@ fn histogram_buckets_sum_to_observation_count() {
                 "{name}: cumulative bucket counts must be non-decreasing"
             );
         }
-        if cfg!(feature = "obs") {
-            assert!(
-                h.count() > 0 || name == "cynthia_train_restore_seconds",
-                "{name}: chaos runs recorded no samples"
-            );
-        }
+        assert!(
+            h.count() > 0 || name == "cynthia_train_restore_seconds",
+            "{name}: chaos runs recorded no samples"
+        );
     }
 }
 
@@ -157,14 +151,10 @@ fn span_trees_are_well_nested_across_chaos_seeds() {
     let spans = tracer().drain();
     validate_well_nested(&spans).unwrap_or_else(|e| panic!("spans not well-nested: {e}"));
     assert_eq!(tracer().dropped(), 0, "tracer overflowed its buffer");
-    if cfg!(feature = "obs") {
-        for layer in ["provision", "train#", "recovery#", "slo#"] {
-            assert!(
-                spans.iter().any(|s| s.track.starts_with(layer)),
-                "no spans on any {layer}* track"
-            );
-        }
-    } else {
-        assert!(spans.is_empty(), "stub hooks must record nothing");
+    for layer in ["provision", "train#", "recovery#", "slo#"] {
+        assert!(
+            spans.iter().any(|s| s.track.starts_with(layer)),
+            "no spans on any {layer}* track"
+        );
     }
 }

@@ -5,9 +5,8 @@
 //! Perfetto), so their byte layout is a contract: a fixed set of
 //! hand-built metric and span values must render **byte-identically** to
 //! the files under `tests/snapshots/`. Everything here uses local
-//! [`MetricsRegistry`] / [`Tracer`] instances — no global state, no
-//! cross-test interference, and the fixtures run the same with the `obs`
-//! feature compiled out (the export formats are always available).
+//! [`MetricsRegistry`] / [`Tracer`] instances — no global state and no
+//! cross-test interference.
 //!
 //! To regenerate after an intentional format change:
 //!
