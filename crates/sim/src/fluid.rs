@@ -36,11 +36,12 @@
 //! to date as flows start and end, together with a dense list of the loaded
 //! resources. A solve starts from the loaded list, with each resource's level
 //! `capacity / load`. Each round takes the lowest level `λ`, freezes at `λ`
-//! every class listed on a resource saturated at `λ`, subtracts the frozen
-//! flows from the loads of their links, charges `λ` once per frozen flow to
-//! the links that still carry unfrozen flows, and recomputes only those
-//! links' levels. A round costs O(loaded resources + newly frozen classes);
-//! the rest of an engine event is the drain over the remaining volumes.
+//! every class listed on a resource saturated at `λ`, retires the saturated
+//! resources, subtracts the frozen flows from the loads of their other links,
+//! charges `λ` once per frozen flow to the links that still carry unfrozen
+//! flows, and recomputes only those links' levels. A round costs O(loaded
+//! resources + newly frozen classes); the rest of an engine event is the
+//! drain over the remaining volumes.
 //! Solver scratch buffers live in the system and are reused across solves.
 //!
 //! # Exact-order contract
@@ -61,7 +62,8 @@
 //!   their `used += λ` additions does not matter; each class adds `λ` once
 //!   per flow, never `k × λ`, and only to resources a later round still
 //!   reads. A resource that saturates carries no unfrozen flow afterwards, so
-//!   what it has used is never read again;
+//!   it is retired in that round and never charged: what it has used would
+//!   never be read again;
 //! * [`FluidSystem::advance`] computes `d = rate × dt` once per class, the
 //!   same product every flow computed, and drains each volume with
 //!   `r = (r − d).max(0)`;
@@ -69,11 +71,16 @@
 //!   so a class's smallest volume stays its smallest through a drain and
 //!   gives its earliest completion; [`FluidSystem::next_completion`] then
 //!   picks, among the classes that reach the earliest time, the lowest slot
-//!   whose own quotient equals it, which is what a slot walk picks;
+//!   whose own quotient equals it, which is what a slot walk picks. When that
+//!   time is a normal float, each quotient is within 2^-53 of the exact one,
+//!   so a volume above `min × (1 + 2^-49)` cannot round to it and is not
+//!   divided; a zero, subnormal or infinite time takes the full scan;
 //! * [`FluidSystem::total_rate_on`] equals the sum over the resource's flows
 //!   in slot order from `-0.0`. When every class on the resource has the
 //!   same rate bits, that sum is `k` sequential additions of the rate and no
-//!   slot order is needed; otherwise it sorts the resource's flows by slot.
+//!   slot order is needed; a memo keyed by `(rate bits, k)` returns the bits
+//!   of that fold, computed on a miss. Otherwise it sorts the resource's
+//!   flows by slot.
 //!
 //! Re-solving only the changed connected component, or event-driven
 //! per-resource virtual clocks, were not taken: in a PS star every worker
@@ -91,6 +98,57 @@ const RATE_EPS: f64 = 1e-12;
 /// is `x` for every `x`, `+0.0` included) and what `Iterator::sum` yields
 /// for an empty sequence.
 const NO_RATE: f64 = -0.0;
+
+/// A volume more than this relative step above a class's smallest cannot
+/// tie its completion time when that time is normal: two roundings of
+/// 2^-53 each stay far inside it.
+const TIE_SPAN: f64 = 1.0 / (1u64 << 49) as f64;
+
+/// Entries in [`RepeatSums`]; a power of two. With 64 entries only 74–89%
+/// of the lookups in `cynthia-exp` fig2, fig3, fig10 and fig12 hit; with
+/// 1024 (24 KB) 96–99.9% do.
+const REPEAT_SUMS: usize = 1024;
+
+/// `k` sequential additions of `rate`, from `NO_RATE`: the slot-order sum
+/// over `k` flows of one rate.
+fn repeat_sum(rate: f64, k: usize) -> f64 {
+    (0..k).fold(NO_RATE, |total, _| total + rate)
+}
+
+/// Memo of [`repeat_sum`]: a direct-mapped table keyed by `(rate bits, k)`
+/// with a full-key compare. A hit returns what the fold returned when the
+/// entry was filled, so the memo has the fold's bits. In an engine run the
+/// same few `(rate, k)` pairs recur on every event.
+#[derive(Debug)]
+struct RepeatSums {
+    /// `(rate bits, k, sum)`; a fresh entry holds the sum of no `+0.0`s.
+    entries: Box<[(u64, usize, f64)]>,
+}
+
+impl Default for RepeatSums {
+    fn default() -> Self {
+        RepeatSums {
+            entries: vec![(0, 0, NO_RATE); REPEAT_SUMS].into_boxed_slice(),
+        }
+    }
+}
+
+impl RepeatSums {
+    fn sum(&mut self, rate: f64, k: usize) -> f64 {
+        let bits = rate.to_bits();
+        let entry = &mut self.entries[Self::slot(bits, k)];
+        if entry.0 != bits || entry.1 != k {
+            *entry = (bits, k, repeat_sum(rate, k));
+        }
+        entry.2
+    }
+
+    /// The entry for a key: the top bits of a multiplicative hash.
+    fn slot(bits: u64, k: usize) -> usize {
+        let h = (bits ^ (k as u64).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - REPEAT_SUMS.trailing_zeros())) as usize
+    }
+}
 
 /// Identifies a resource within a [`FluidSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -276,6 +334,7 @@ pub struct FluidSystem {
     frozen: Vec<u32>,
     tied: Vec<u32>,
     crossing: Vec<(u32, f64)>,
+    repeat_sums: RepeatSums,
 }
 
 /// Per-resource flow counts and the dense list of loaded resources, kept up
@@ -558,7 +617,8 @@ impl FluidSystem {
         self.get(id).map(|(c, pos)| self.classes[c].remaining[pos])
     }
 
-    /// Sum of current flow rates through `r` (≤ capacity).
+    /// Sum of current flow rates through `r`: its capacity at most, up to
+    /// rounding (`k` additions of `capacity / k` may exceed it by an ulp).
     pub fn total_rate_on(&mut self, r: ResourceId) -> f64 {
         self.ensure_rates();
         let on: &[u32] = self.classes_on.get(r.0 as usize).map_or(&[], |v| v);
@@ -573,8 +633,7 @@ impl FluidSystem {
         }
         if !mixed {
             // The slot-order sum of `k` equal rates.
-            let rate = rate.unwrap_or(NO_RATE);
-            return (0..k).fold(NO_RATE, |total, _| total + rate);
+            return self.repeat_sums.sum(rate.unwrap_or(NO_RATE), k);
         }
         self.crossing.clear();
         for &c in on {
@@ -636,13 +695,15 @@ impl FluidSystem {
             }
             // Freeze every class on a resource saturated at `lambda`. An
             // unfrozen class has all its links still filling, so this finds
-            // every unfrozen class with a saturated link.
+            // every unfrozen class with a saturated link. A saturated
+            // resource is retired at once: none of its flows stays unfrozen.
             let tol = 1e-12 + lambda * 1e-12;
             self.frozen.clear();
             for &r in &self.filling {
                 if self.level[r as usize] > lambda + tol {
                     continue;
                 }
+                self.unfrozen_on[r as usize] = 0;
                 for &c in &self.classes_on[r as usize] {
                     let class = &mut self.classes[c as usize];
                     if class.frozen_in != self.epoch {
@@ -658,14 +719,18 @@ impl FluidSystem {
             );
 
             // Charge the freezes to the links a later round still reads,
-            // one addition per flow as a flow-by-flow solve does. Loads only
-            // fall, so a link still filling after the last class is charged
-            // was charged by every class before it too.
+            // one addition per flow as a flow-by-flow solve does. Retired
+            // links are skipped; loads only fall, so a link still filling
+            // after the last class is charged was charged by every class
+            // before it too.
             for &c in &self.frozen {
                 let class = &self.classes[c as usize];
                 let k = class.slots.len() as u32;
                 for l in &class.links {
                     let r = l.0 as usize;
+                    if self.unfrozen_on[r] == 0 {
+                        continue;
+                    }
                     self.unfrozen_on[r] -= k;
                     if self.unfrozen_on[r] > 0 {
                         let used = &mut self.used[r];
@@ -702,12 +767,18 @@ impl FluidSystem {
             }
         }
         // The lowest slot whose own completion time is `best`, among the
-        // classes that reach it.
+        // classes that reach it. A normal quotient is within 2^-53 of the
+        // exact one, so when `best` is normal only volumes within `TIE_SPAN`
+        // of the class's smallest can round to it; the rest are not divided.
         let mut idx = u32::MAX;
         for &c in &self.tied {
             let class = &self.classes[c as usize];
+            let cut = match class.min_remaining {
+                Some(min) if best.is_normal() => min * (1.0 + TIE_SPAN),
+                _ => f64::INFINITY,
+            };
             for (&r, &s) in class.remaining.iter().zip(&class.slots) {
-                if s < idx && completion_time(r, class.rate) == Some(best) {
+                if r <= cut && s < idx && completion_time(r, class.rate) == Some(best) {
                     idx = s;
                 }
             }
@@ -1182,6 +1253,99 @@ mod tests {
         let used = (0..7).fold(0.0, |used, _| used + 1.0 / 7.0);
         assert_ne!(used, 7.0 * (1.0 / 7.0));
         assert_eq!(sys.flow_rate(alone), Some(2.0 - used));
+    }
+
+    #[test]
+    fn a_saturated_resource_is_never_charged() {
+        let mut sys = FluidSystem::new();
+        let ps = sys.add_resource(30.0, "ps-nic");
+        let workers: Vec<_> = (0..4)
+            .map(|i| sys.add_resource(100.0, format!("worker-nic{i}")))
+            .collect();
+        // Three pushes per worker bind the PS NIC at 30/12 in the first
+        // round; a local flow per worker keeps every worker NIC filling.
+        for (i, &w) in workers.iter().enumerate() {
+            for j in 0..3 {
+                sys.start_flow(FlowSpec::new(vec![w, ps], 1e3, (4 * i + j) as u64));
+            }
+        }
+        let locals: Vec<_> = workers
+            .iter()
+            .map(|&w| sys.start_flow(FlowSpec::new(vec![w], 1e3, 99)))
+            .collect();
+        let lambda = 30.0 / 12.0;
+        let charged = (0..3).fold(0.0, |used, _| used + lambda);
+        for (&w, &f) in workers.iter().zip(&locals) {
+            assert_eq!(sys.flow_rate(f), Some(100.0 - charged));
+            assert_eq!(sys.used[w.0 as usize], charged);
+        }
+        assert_eq!(sys.used[ps.0 as usize].to_bits(), 0.0f64.to_bits());
+        assert_eq!(sys.total_rate_on(ps), 30.0);
+    }
+
+    #[test]
+    fn repeat_sums_equal_the_fold_through_evictions() {
+        let mut memo = RepeatSums::default();
+        let ks = [0, 1, 7, 8, 9, 300];
+        let rates: Vec<f64> = std::iter::once(0.0)
+            .chain((1..200).map(|i| (i as f64 + 0.1) / 7.0))
+            .collect();
+        assert!(ks.len() * rates.len() > REPEAT_SUMS);
+        for _ in 0..3 {
+            for &k in &ks {
+                for &rate in &rates {
+                    assert_eq!(
+                        memo.sum(rate, k).to_bits(),
+                        repeat_sum(rate, k).to_bits(),
+                        "{k} × {rate}"
+                    );
+                }
+            }
+        }
+        // Two counts of one rate that share an entry evict each other.
+        let rate = 0.1f64;
+        let bits = rate.to_bits();
+        let twin = (301..)
+            .find(|&k| RepeatSums::slot(bits, k) == RepeatSums::slot(bits, 300))
+            .unwrap();
+        assert_ne!(repeat_sum(rate, 300), repeat_sum(rate, twin));
+        for k in [300, twin, 300, twin] {
+            assert_eq!(memo.sum(rate, k).to_bits(), repeat_sum(rate, k).to_bits());
+        }
+    }
+
+    /// One class on a link of capacity `2 × rate` holding `next_up(m)` in
+    /// slot 0 and `m` in slot 1: the next completion.
+    fn next_of_adjacent_pair(m: f64, rate: f64) -> (u32, Time) {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(2.0 * rate, "link");
+        sys.start_flow(FlowSpec::new(vec![r], m.next_up(), 0));
+        sys.start_flow(FlowSpec::new(vec![r], m, 1));
+        let (id, dt) = sys.next_completion().unwrap();
+        (id.idx, dt)
+    }
+
+    #[test]
+    fn tie_cut_keeps_a_larger_volume_that_rounds_to_the_same_time() {
+        assert_eq!(100.0 / 3.0, 100f64.next_up() / 3.0);
+        assert_eq!(next_of_adjacent_pair(100.0, 3.0), (0, 100.0 / 3.0));
+    }
+
+    #[test]
+    fn tie_cut_skips_a_larger_volume_that_finishes_later() {
+        assert!(100.0 / 5.0 < 100f64.next_up() / 5.0);
+        assert_eq!(next_of_adjacent_pair(100.0, 5.0), (1, 20.0));
+    }
+
+    #[test]
+    fn overflowing_completion_times_take_the_full_tie_scan() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(1.0, "link");
+        // At rate 0.5 both quotients overflow to infinity, so they tie and
+        // the larger volume's lower slot wins.
+        let low = sys.start_flow(FlowSpec::new(vec![r], f64::MAX, 0));
+        sys.start_flow(FlowSpec::new(vec![r], 0.75 * f64::MAX, 1));
+        assert_eq!(sys.next_completion(), Some((low, f64::INFINITY)));
     }
 
     #[test]

@@ -403,6 +403,52 @@ fn random_pair((caps, sets): (Vec<f64>, Vec<Vec<usize>>)) -> Pair {
     pair
 }
 
+/// Per-worker NIC, per-PS NIC and per-PS CPU capacities for a PS star.
+type StarCaps = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+fn star_caps() -> impl Strategy<Value = StarCaps> {
+    (
+        prop::collection::vec(10.0f64..200.0, 8),
+        prop::collection::vec(50.0f64..500.0, 4),
+        prop::collection::vec(5.0f64..100.0, 4),
+    )
+}
+
+/// The engine's topology: `n` worker NICs each linked to every PS NIC
+/// (pushes and pulls), plus one CPU per PS (update applications).
+fn ps_star_pair(n: usize, n_ps: usize, (wk, nic, cpu): StarCaps) -> Pair {
+    let mut c = wk[..n].to_vec();
+    c.extend_from_slice(&nic[..n_ps]);
+    c.extend_from_slice(&cpu[..n_ps]);
+    let mut pair = Pair::new(&c);
+    let r = pair.rids.clone();
+    for k in 0..n_ps {
+        pair.patterns.extend((0..n).map(|j| vec![r[j], r[n + k]]));
+        pair.patterns.push(vec![r[n + n_ps + k]]);
+    }
+    pair
+}
+
+#[test]
+fn a_saturated_ps_nic_beside_filling_worker_nics_matches_the_oracle() {
+    // Three worker NICs, a narrow PS NIC and a wide one, two flows per
+    // (worker, PS) pair. The narrow PS NIC binds first; the worker NICs,
+    // charged for its flows, keep filling with the wide PS's flows and
+    // bind next.
+    let mut pair = Pair::new(&[100.3, 97.1, 101.7, 29.9, 1000.0]);
+    let r = pair.rids.clone();
+    for ps in [r[3], r[4]] {
+        pair.patterns.extend(r[..3].iter().map(|&w| vec![w, ps]));
+    }
+    for i in 0..12 {
+        pair.start(i, 10.0 + i as f64);
+    }
+    pair.check().unwrap();
+    assert_eq!(pair.sys.used[r[3].0 as usize].to_bits(), 0.0f64.to_bits());
+    assert!(pair.sys.used[r[0].0 as usize] > 0.0);
+    replay(pair, Vec::new()).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -411,34 +457,41 @@ proptest! {
         replay(random_pair(system), ops)?;
     }
 
-    /// The engine's topology: `n` worker NICs each linked to every PS NIC
-    /// (pushes and pulls), plus one CPU per PS (update applications). Each
-    /// worker NIC, PS NIC and PS CPU has its own capacity, so a slow worker
-    /// NIC can bind before the PS NICs, and with several PSs (`fig10`'s
-    /// clusters) the PS NICs saturate in different rounds: PS NICs then
-    /// carry mixed rates and later filling rounds read what earlier ones
-    /// used.
+    /// Each worker NIC, PS NIC and PS CPU has its own capacity, so a slow
+    /// worker NIC can bind before the PS NICs, and with several PSs
+    /// (`fig10`'s clusters) the PS NICs saturate in different rounds: PS
+    /// NICs then carry mixed rates and later filling rounds read what
+    /// earlier ones used.
     #[test]
     fn ps_star_matches_the_oracle_bit_for_bit(
         n in 1usize..9,
         n_ps in 1usize..=4,
-        caps in (
-            prop::collection::vec(10.0f64..200.0, 8),
-            prop::collection::vec(50.0f64..500.0, 4),
-            prop::collection::vec(5.0f64..100.0, 4),
-        ),
+        caps in star_caps(),
         ops in ops(),
     ) {
-        let (wk, nic, cpu) = caps;
-        let mut c = wk[..n].to_vec();
-        c.extend_from_slice(&nic[..n_ps]);
-        c.extend_from_slice(&cpu[..n_ps]);
-        let mut pair = Pair::new(&c);
-        let r = pair.rids.clone();
-        for k in 0..n_ps {
-            pair.patterns.extend((0..n).map(|j| vec![r[j], r[n + k]]));
-            pair.patterns.push(vec![r[n + n_ps + k]]);
-        }
-        replay(pair, ops)?;
+        replay(ps_star_pair(n, n_ps, caps), ops)?;
+    }
+}
+
+// The same properties over 4,000 cases each, drawn from their own seeds.
+// Run with `cargo test --release -p cynthia-sim -- --include-ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    #[test]
+    #[ignore = "4,000 cases; run with --include-ignored"]
+    fn unit_flows_match_the_oracle_bit_for_bit_4000(system in random_system(), ops in ops()) {
+        replay(random_pair(system), ops)?;
+    }
+
+    #[test]
+    #[ignore = "4,000 cases; run with --include-ignored"]
+    fn ps_star_matches_the_oracle_bit_for_bit_4000(
+        n in 1usize..9,
+        n_ps in 1usize..=4,
+        caps in star_caps(),
+        ops in ops(),
+    ) {
+        replay(ps_star_pair(n, n_ps, caps), ops)?;
     }
 }
