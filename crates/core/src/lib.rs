@@ -35,4 +35,4 @@ pub use framework::{Cynthia, ExecutionReport};
 pub use loss_model::FittedLossModel;
 pub use perf_model::{ClusterShape, CynthiaModel, PerfModel};
 pub use profiler::{profile_workload, ProfileData};
-pub use provisioner::{plan, plan_parallel, EvalCache, Goal, Plan, PlannerOptions};
+pub use provisioner::{plan, Goal, Plan, PlannerOptions};

@@ -24,14 +24,6 @@ cynthia_obs::metric! {
         "cynthia_provision_candidates_total",
         "Candidate (type, n, n_ps) points evaluated by the band search"
     );
-    cache_hits: counter(
-        "cynthia_provision_cache_hits_total",
-        "EvalCache lookups answered without re-evaluating the model"
-    );
-    cache_misses: counter(
-        "cynthia_provision_cache_misses_total",
-        "EvalCache lookups that evaluated the performance model"
-    );
     band_width: histogram(
         "cynthia_provision_band_width",
         "Theorem 4.1 worker-band width (n_upper - n_lower + 1) per instance type",
@@ -94,21 +86,5 @@ pub fn plan_finished(evaluated: u32, feasible: bool) {
     candidates().add(evaluated as u64);
     if !feasible {
         infeasible().inc();
-    }
-}
-
-/// Records an EvalCache hit.
-#[inline]
-pub fn cache_hit() {
-    if cynthia_obs::enabled() {
-        cache_hits().inc();
-    }
-}
-
-/// Records an EvalCache miss.
-#[inline]
-pub fn cache_miss() {
-    if cynthia_obs::enabled() {
-        cache_misses().inc();
     }
 }

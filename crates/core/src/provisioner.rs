@@ -21,11 +21,7 @@ use crate::profiler::ProfileData;
 use cynthia_cloud::catalog::Catalog;
 use cynthia_cloud::instance::InstanceType;
 use cynthia_models::SyncMode;
-use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The user-facing training performance goal.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -231,88 +227,6 @@ pub fn worker_bounds(
     }
 }
 
-/// Memoized performance-model evaluations for the band search.
-///
-/// Alg. 1 (and the elastic replanner built on it) evaluates the Sec. 3
-/// model (Eqs. 2–7) at many `(instance type, n_workers, n_ps)` points, and
-/// the same points recur across goals, PS-escalation waves, and repeated
-/// `plan` calls against one profile. The cache memoizes the *exact* model
-/// output keyed on `(type, n_workers, n_ps, total_updates)`, so a hit
-/// returns bit-identical numbers to a fresh evaluation — parallel and
-/// cached searches stay equivalent to the serial path by construction.
-///
-/// A cache is only valid for a single `(model, profile)` pairing: create
-/// one per fitted profile and share it across goals/threads (all methods
-/// take `&self`).
-#[derive(Debug, Default)]
-pub struct EvalCache {
-    times: Mutex<HashMap<(String, u32, u32, u64), f64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl EvalCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `model.predict_time` for a homogeneous `(ty, n, n_ps)` shape,
-    /// memoized on `(ty.name, n, n_ps, total_updates)`.
-    pub fn predict_time(
-        &self,
-        model: &dyn PerfModel,
-        ty: &InstanceType,
-        n: u32,
-        n_ps: u32,
-        total_updates: u64,
-    ) -> f64 {
-        let key = (ty.name.clone(), n, n_ps, total_updates);
-        if let Some(&t) = self.times.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            crate::obs::cache_hit();
-            return t;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::obs::cache_miss();
-        let shape = ClusterShape::homogeneous(ty, n, n_ps);
-        let t = model.predict_time(&shape, total_updates);
-        self.times.lock().insert(key, t);
-        t
-    }
-
-    /// Number of lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to evaluate the model.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of lookups answered from the cache (0 when never used).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Number of distinct `(type, n, n_ps, updates)` points cached.
-    pub fn len(&self) -> usize {
-        self.times.lock().len()
-    }
-
-    /// Whether the cache holds no evaluations yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// One evaluated `(n_workers, n_ps)` point of the Alg. 1 band search.
 #[derive(Debug, Clone, Copy)]
 struct CandidateEval {
@@ -330,9 +244,7 @@ struct CandidateEval {
 }
 
 /// Evaluates one candidate point. Returns `None` when the loss target is
-/// unreachable (which `worker_bounds` already screens, so in practice this
-/// mirrors the serial path's unreachable-target early return).
-#[allow(clippy::too_many_arguments)]
+/// unreachable (which `worker_bounds` already screens).
 fn evaluate_candidate(
     model: &dyn PerfModel,
     profile: &ProfileData,
@@ -341,7 +253,6 @@ fn evaluate_candidate(
     effective: &Goal,
     n: u32,
     n_ps: u32,
-    cache: Option<&EvalCache>,
 ) -> Option<CandidateEval> {
     // Iterations to reach the loss target (Eq. 15 / Eq. 20).
     let (s, total_updates) = match profile.sync {
@@ -354,13 +265,8 @@ fn evaluate_candidate(
             (s, s * n as u64)
         }
     };
-    let time = match cache {
-        Some(c) => c.predict_time(model, ty, n, n_ps, total_updates),
-        None => {
-            let shape = ClusterShape::homogeneous(ty, n, n_ps);
-            model.predict_time(&shape, total_updates)
-        }
-    };
+    let shape = ClusterShape::homogeneous(ty, n, n_ps);
+    let time = model.predict_time(&shape, total_updates);
     let feasible = time < effective.deadline_secs;
     let cost = if feasible {
         cynthia_cloud::billing::static_cluster_cost(
@@ -434,22 +340,6 @@ pub fn plan(
     plan_with_model(&model, profile, loss, catalog, goal, options)
 }
 
-/// [`plan`], with the band search fanned out across instance types and
-/// candidate `(n_workers, n_ps)` points (and model evaluations memoized in
-/// a fresh [`EvalCache`]). Bit-identical to [`plan`] — see
-/// `tests/parallel_equivalence.rs`.
-pub fn plan_parallel(
-    profile: &ProfileData,
-    loss: &FittedLossModel,
-    catalog: &Catalog,
-    goal: &Goal,
-    options: &PlannerOptions,
-) -> Option<Plan> {
-    let model = CynthiaModel::new(profile.clone());
-    let cache = EvalCache::new();
-    plan_parallel_with_cache(&model, profile, loss, catalog, goal, options, &cache)
-}
-
 fn check_goal(
     profile: &ProfileData,
     loss: &FittedLossModel,
@@ -468,8 +358,9 @@ fn check_goal(
 /// Optimus" comparison of footnote 4 substitutes the baseline model
 /// here). Returns the cheapest feasible plan, or `None`.
 ///
-/// This is the serial reference implementation; [`plan_parallel`] and
-/// [`plan_parallel_with_cache`] reproduce its output bit for bit.
+/// The scan is serial: instance types in catalog order, worker counts
+/// ascending, and a candidate replaces the running best only when it is
+/// strictly cheaper, so the first cheapest point wins ties.
 pub fn plan_with_model(
     model: &dyn PerfModel,
     profile: &ProfileData,
@@ -507,7 +398,7 @@ pub fn plan_with_model(
             };
             for n in lo..=hi.min(options.max_workers) {
                 evaluated += 1;
-                let c = evaluate_candidate(model, profile, loss, ty, &effective, n, n_ps, None)?;
+                let c = evaluate_candidate(model, profile, loss, ty, &effective, n, n_ps)?;
                 if !c.feasible {
                     continue;
                 }
@@ -527,159 +418,6 @@ pub fn plan_with_model(
     }
     crate::obs::plan_finished(evaluated, best.is_some());
     best.map(|mut p| {
-        p.candidates_evaluated = evaluated;
-        p
-    })
-}
-
-/// The parallel band search behind [`plan_parallel`], against an arbitrary
-/// (`Sync`) performance model and a caller-owned [`EvalCache`].
-///
-/// The search proceeds in PS-escalation waves, mirroring Alg. 1's "extra
-/// PS only when the minimum is infeasible" rule: in each wave, the
-/// still-unresolved instance types contribute their whole Theorem 4.1
-/// worker band as a flat candidate list, the list is evaluated in parallel
-/// (through the cache), and the *serial* selection logic is then replayed
-/// over the evaluated results — so the chosen plan, its predicted numbers,
-/// and even `candidates_evaluated` match the serial path bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_parallel_with_cache(
-    model: &(dyn PerfModel + Sync),
-    profile: &ProfileData,
-    loss: &FittedLossModel,
-    catalog: &Catalog,
-    goal: &Goal,
-    options: &PlannerOptions,
-    cache: &EvalCache,
-) -> Option<Plan> {
-    check_goal(profile, loss, goal, options);
-    let _plan_guard = crate::obs::plan_started("provision.plan_parallel");
-    let effective = Goal {
-        deadline_secs: goal.deadline_secs * options.headroom,
-        target_loss: goal.target_loss,
-    };
-
-    let types: Vec<&InstanceType> = catalog.types().iter().collect();
-    let bounds: Vec<Option<WorkerBounds>> = types
-        .par_iter()
-        .map(|ty| worker_bounds(profile, loss, ty, &effective))
-        .collect();
-    for b in bounds.iter().flatten() {
-        crate::obs::band_computed(b.n_lower, b.upper_for(b.n_ps));
-    }
-
-    // Per type: the serial algorithm's outcome, filled in over the waves.
-    struct TypeState {
-        resolved: bool,
-        evaluated: u32,
-        best: Option<CandidateEval>,
-    }
-    let mut states: Vec<TypeState> = types
-        .iter()
-        .map(|_| TypeState {
-            resolved: false,
-            evaluated: 0,
-            best: None,
-        })
-        .collect();
-
-    let mut unreachable = false;
-    for extra_ps in 0..=options.max_ps_escalation {
-        // Wave candidate list: every unresolved type's full worker band at
-        // this PS level, flattened for the parallel fan-out.
-        let mut wave: Vec<(usize, u32, u32)> = Vec::new();
-        for (ti, b) in bounds.iter().enumerate() {
-            let Some(b) = b else { continue };
-            if states[ti].resolved {
-                continue;
-            }
-            let n_ps = b.n_ps + extra_ps;
-            let (lo, hi) = if options.use_bounds {
-                (b.n_lower, b.upper_for(n_ps))
-            } else {
-                (1, options.max_workers)
-            };
-            for n in lo..=hi.min(options.max_workers) {
-                wave.push((ti, n, n_ps));
-            }
-        }
-        if wave.is_empty() {
-            break;
-        }
-        let evals: Vec<Option<CandidateEval>> = wave
-            .par_iter()
-            .map(|&(ti, n, n_ps)| {
-                evaluate_candidate(
-                    model,
-                    profile,
-                    loss,
-                    types[ti],
-                    &effective,
-                    n,
-                    n_ps,
-                    Some(cache),
-                )
-            })
-            .collect();
-
-        // Replay the serial control flow over the evaluated wave: count
-        // candidates up to (and including) the serial break point, keep
-        // the within-type best under the same strict-< rule.
-        let mut i = 0;
-        while i < wave.len() {
-            let ti = wave[i].0;
-            let mut stopped = false;
-            while i < wave.len() && wave[i].0 == ti {
-                let eval = &evals[i];
-                i += 1;
-                if stopped {
-                    continue; // serial would have broken out already
-                }
-                states[ti].evaluated += 1;
-                let Some(c) = eval else {
-                    unreachable = true;
-                    stopped = true;
-                    continue;
-                };
-                if !c.feasible {
-                    continue;
-                }
-                states[ti].resolved = true;
-                let better = states[ti]
-                    .best
-                    .as_ref()
-                    .map(|b| c.cost < b.cost)
-                    .unwrap_or(true);
-                if better {
-                    states[ti].best = Some(*c);
-                }
-                if options.first_feasible {
-                    stopped = true;
-                }
-            }
-        }
-        if unreachable {
-            // Serial `plan_with_model` returns `None` outright when the
-            // loss target is unreachable mid-scan.
-            return None;
-        }
-    }
-
-    // Merge per-type bests in catalog order under strict < — identical to
-    // the serial scan's running global best.
-    let evaluated: u32 = states.iter().map(|s| s.evaluated).sum();
-    let mut best: Option<(usize, CandidateEval)> = None;
-    for (ti, s) in states.iter().enumerate() {
-        if let Some(c) = &s.best {
-            let better = best.as_ref().map(|(_, b)| c.cost < b.cost).unwrap_or(true);
-            if better {
-                best = Some((ti, *c));
-            }
-        }
-    }
-    crate::obs::plan_finished(evaluated, best.is_some());
-    best.map(|(ti, c)| {
-        let mut p = plan_from(model, types[ti], &c);
         p.candidates_evaluated = evaluated;
         p
     })

@@ -34,7 +34,7 @@ pub mod slo;
 pub use policy::{Backing, RepairAction, RepairPolicy};
 pub use replanner::{RepairDecision, ReplanInput, Replanner};
 pub use scenario::{
-    run_elastic, summarize, summarize_parallel, ElasticConfig, ElasticReport, ElasticSummary,
-    TimelineEvent, TimelineKind,
+    run_elastic, summarize, ElasticConfig, ElasticReport, ElasticSummary, TimelineEvent,
+    TimelineKind,
 };
 pub use slo::{run_guarded, GuardedReport, ReplanEvent, SloGuardConfig};

@@ -16,8 +16,8 @@
 //! applicable verbatim to mid-run state.
 
 use cynthia_cloud::InstanceType;
-use cynthia_core::provisioner::{worker_bounds, EvalCache, Goal, PlannerOptions};
-use cynthia_core::{CynthiaModel, FittedLossModel, ProfileData};
+use cynthia_core::provisioner::{worker_bounds, Goal, PlannerOptions};
+use cynthia_core::{ClusterShape, CynthiaModel, FittedLossModel, PerfModel, ProfileData};
 use cynthia_models::SyncMode;
 use serde::{Deserialize, Serialize};
 
@@ -70,14 +70,15 @@ pub struct RepairDecision {
 /// Re-runs the band search of Theorem 4.1 against remaining work and
 /// remaining deadline at each revocation or price-change epoch.
 pub struct Replanner {
+    /// The job's one-shot profile, input to the Theorem 4.1 bounds.
     profile: ProfileData,
+    /// The fitted Eq. (1) model that the pseudo target loss inverts.
     loss: FittedLossModel,
+    /// The Sec. 3 model, evaluated afresh at every query: the remaining
+    /// update count changes at every market event, so no point recurs.
     model: CynthiaModel,
+    /// Alg. 1's knobs; the replanner applies their deadline headroom.
     options: PlannerOptions,
-    /// Memoized Sec. 3 model evaluations: the scenario event loop asks for
-    /// the same `(type, width, ps, updates)` points at every market event,
-    /// and exact memoization keeps replay bit-identical.
-    cache: EvalCache,
 }
 
 impl Replanner {
@@ -88,13 +89,7 @@ impl Replanner {
             loss,
             model,
             options,
-            cache: EvalCache::new(),
         }
-    }
-
-    /// Cache statistics `(hits, misses)` of the memoized model evaluations.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
     }
 
     /// The pseudo target loss `l*` whose Eq. (1) inversion equals
@@ -116,8 +111,8 @@ impl Replanner {
         n_ps: u32,
         remaining_updates: u64,
     ) -> f64 {
-        self.cache
-            .predict_time(&self.model, ty, n.max(1), n_ps, remaining_updates)
+        let shape = ClusterShape::homogeneous(ty, n.max(1), n_ps);
+        self.model.predict_time(&shape, remaining_updates)
     }
 
     /// The smallest fleet width that can still rescue a failing run:

@@ -480,32 +480,8 @@ pub fn summarize(
     Some(aggregate(cfg, &reports))
 }
 
-/// [`summarize`], with the per-seed scenarios fanned out across threads.
-/// Each seed owns its RNGs end to end (market, engine, profiling jitter),
-/// so the per-seed reports — and therefore the aggregate — are
-/// bit-identical to the serial [`summarize`]; see
-/// `tests/parallel_equivalence.rs`.
-pub fn summarize_parallel(
-    workload: &Workload,
-    catalog: &Catalog,
-    cfg: &ElasticConfig,
-    seeds: &[u64],
-) -> Option<ElasticSummary> {
-    use rayon::prelude::*;
-    assert!(!seeds.is_empty(), "summarize needs at least one seed");
-    let reports: Option<Vec<ElasticReport>> = seeds
-        .par_iter()
-        .map(|&seed| {
-            let mut c = cfg.clone();
-            c.seed = seed;
-            run_elastic(workload, catalog, &c)
-        })
-        .collect();
-    reports.map(|r| aggregate(cfg, &r))
-}
-
-/// The summary statistics both [`summarize`] variants share; reports must
-/// be in seed order so the floating-point folds match exactly.
+/// The summary statistics of [`summarize`]; the means fold the reports in
+/// seed order.
 fn aggregate(cfg: &ElasticConfig, reports: &[ElasticReport]) -> ElasticSummary {
     let runs = reports.len();
     let misses = reports.iter().filter(|r| !r.met_deadline).count();

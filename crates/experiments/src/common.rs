@@ -80,17 +80,13 @@ impl ExpConfig {
     /// end to end, so the reports are identical to a serial loop, in
     /// repeat order.
     pub fn run_repeated(&self, workload: &Workload, cluster: &ClusterSpec) -> Vec<TrainingReport> {
-        use rayon::prelude::*;
-        (0..self.repeats)
-            .into_par_iter()
-            .map(|r| {
-                simulate(&TrainJob {
-                    workload,
-                    cluster: cluster.clone(),
-                    config: self.sim(r),
-                })
+        rayon::par_map((0..self.repeats).collect(), |r| {
+            simulate(&TrainJob {
+                workload,
+                cluster: cluster.clone(),
+                config: self.sim(r),
             })
-            .collect()
+        })
     }
 
     /// Mean ± std of training time across repeats.

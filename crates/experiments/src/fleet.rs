@@ -17,7 +17,6 @@ use cynthia_core::provisioner::{plan, Goal, PlannerOptions};
 use cynthia_models::Workload;
 use cynthia_sim::rng::component_rng;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -72,42 +71,32 @@ pub fn run(cfg: &ExpConfig) -> Fleet {
         let goals: Vec<Goal> = (0..jobs_per_workload)
             .map(|_| draw_goal(&workload, &mut rng))
             .collect();
-        jobs.extend(
-            goals
-                .par_iter()
-                .map(|goal| {
-                    let cynthia = plan(&profile, &loss, &cfg.catalog, goal, &opts).map(|p| {
-                        let o = execute_plan(cfg, &workload, &p, goal, "Cynthia");
+        jobs.extend(rayon::par_map(goals, |goal| {
+            let cynthia = plan(&profile, &loss, &cfg.catalog, &goal, &opts).map(|p| {
+                let o = execute_plan(cfg, &workload, &p, &goal, "Cynthia");
+                (
+                    o.met_deadline && o.achieved_loss <= goal.target_loss * 1.1,
+                    o.cost_usd,
+                )
+            });
+            let optimus =
+                plan_with_optimus(&optimus_model, &profile, &loss, &cfg.catalog, &goal, &opts).map(
+                    |p| {
+                        let o = execute_plan(cfg, &workload, &p, &goal, "Optimus");
                         (
                             o.met_deadline && o.achieved_loss <= goal.target_loss * 1.1,
                             o.cost_usd,
                         )
-                    });
-                    let optimus = plan_with_optimus(
-                        &optimus_model,
-                        &profile,
-                        &loss,
-                        &cfg.catalog,
-                        goal,
-                        &opts,
-                    )
-                    .map(|p| {
-                        let o = execute_plan(cfg, &workload, &p, goal, "Optimus");
-                        (
-                            o.met_deadline && o.achieved_loss <= goal.target_loss * 1.1,
-                            o.cost_usd,
-                        )
-                    });
-                    JobOutcome {
-                        workload: workload.id(),
-                        deadline_s: goal.deadline_secs,
-                        target_loss: goal.target_loss,
-                        cynthia,
-                        optimus,
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
+                    },
+                );
+            JobOutcome {
+                workload: workload.id(),
+                deadline_s: goal.deadline_secs,
+                target_loss: goal.target_loss,
+                cynthia,
+                optimus,
+            }
+        }));
     }
 
     let total = |f: &dyn Fn(&JobOutcome) -> Option<(bool, f64)>| -> (f64, f64) {

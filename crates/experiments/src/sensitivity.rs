@@ -47,7 +47,6 @@ pub fn run(cfg: &ExpConfig) -> Sensitivity {
 
     // The stressor grid is embarrassingly parallel: every point owns its
     // SimConfig, so the sweep fans out across threads in grid order.
-    use rayon::prelude::*;
     let mut grid: Vec<(&str, f64, SimConfig)> = Vec::new();
     for cv in [0.0, 0.03, 0.08, 0.15] {
         let mut c = cfg.sim(0);
@@ -59,24 +58,21 @@ pub fn run(cfg: &ExpConfig) -> Sensitivity {
         c.nic_interference = interference;
         grid.push(("nic-interference", interference, c));
     }
-    let rows = grid
-        .into_par_iter()
-        .map(|(stressor, level, config)| {
-            let observed = simulate(&TrainJob {
-                workload: &w,
-                cluster: ClusterSpec::homogeneous(cfg.m4(), n, 1),
-                config,
-            })
-            .total_time;
-            Row {
-                stressor: stressor.to_string(),
-                level,
-                observed_s: observed,
-                predicted_s: predicted,
-                error: (predicted - observed) / observed,
-            }
+    let rows = rayon::par_map(grid, |(stressor, level, config)| {
+        let observed = simulate(&TrainJob {
+            workload: &w,
+            cluster: ClusterSpec::homogeneous(cfg.m4(), n, 1),
+            config,
         })
-        .collect();
+        .total_time;
+        Row {
+            stressor: stressor.to_string(),
+            level,
+            observed_s: observed,
+            predicted_s: predicted,
+            error: (predicted - observed) / observed,
+        }
+    });
     Sensitivity { rows }
 }
 

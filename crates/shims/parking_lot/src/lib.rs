@@ -1,52 +1,28 @@
-//! Offline shim for `parking_lot`.
+//! Offline shim for `parking_lot`: the `Mutex` subset this workspace uses.
 //!
-//! Facade over `std::sync` primitives with parking_lot's panic-free-looking
-//! API (`lock()` returns the guard directly). Poisoning is treated the way
-//! parking_lot treats it — a poisoned lock simply keeps working — by
-//! unwrapping into the inner guard on either branch.
+//! A facade over `std::sync::Mutex` whose `lock()` returns the guard
+//! directly. Poisoning is treated the way parking_lot treats it: a
+//! poisoned lock simply keeps working.
 
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
+use std::sync::MutexGuard;
 
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+pub struct Mutex<T>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.0
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
@@ -56,47 +32,9 @@ impl<T: Default> Default for Mutex<T> {
     }
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
+impl<T> std::fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mutex").finish_non_exhaustive()
-    }
-}
-
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 }
 

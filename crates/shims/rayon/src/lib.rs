@@ -1,25 +1,19 @@
-//! Offline shim for `rayon`.
+//! One order-preserving parallel map on `std::thread::scope`.
 //!
-//! Implements the parallel-iterator surface this workspace uses —
-//! `par_iter()` / `into_par_iter()` over slices, `Vec`s, and integer
-//! ranges, with the `map` / `filter` / `filter_map` / `flat_map` /
-//! `collect` / `sum` / `count` / `for_each` / `min_by` / `max_by`
-//! adapters — on top of `std::thread::scope`.
+//! The package keeps the name `rayon` only because the lock files record
+//! it under that name; it implements none of rayon's API. [`par_map`]
+//! splits its input into one contiguous chunk per thread and concatenates
+//! the chunk results in input order, so its output equals the serial
+//! `items.into_iter().map(f).collect()` element for element. The
+//! experiment drivers' bit-identical replay relies on this.
 //!
-//! Work is split into one contiguous chunk per thread, and chunk results
-//! are re-concatenated in input order, so every adapter is
-//! **order-preserving**: `v.into_par_iter().map(f).collect::<Vec<_>>()`
-//! equals the serial `v.into_iter().map(f).collect()` element for
-//! element. The workspace's bit-identical-replay tests rely on this.
-//!
-//! The thread count is `RAYON_NUM_THREADS` when set, otherwise
-//! `std::thread::available_parallelism()`; with one thread every adapter
-//! degrades to the plain serial loop (no spawn overhead).
+//! The thread count is `RAYON_NUM_THREADS` when set to a positive number,
+//! otherwise `std::thread::available_parallelism()`. With one thread the
+//! map is the plain serial loop.
 
 use std::sync::OnceLock;
 
-/// Number of worker threads the shim fans out to.
-pub fn current_num_threads() -> usize {
+fn num_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
         std::env::var("RAYON_NUM_THREADS")
@@ -34,405 +28,72 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// Applies `f` to every item on `threads` scoped threads, preserving input
-/// order in the output.
-fn par_apply_with<I, O, F>(items: Vec<I>, f: &F, threads: usize) -> Vec<O>
+/// Applies `f` to every item across threads and returns the results in
+/// input order. A panic in `f` is re-raised on the calling thread.
+pub fn par_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    let threads = threads.min(items.len()).max(1);
+    map_on(items, &f, num_threads())
+}
+
+fn map_on<I, O, F>(items: Vec<I>, f: &F, threads: usize) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
+{
+    let threads = threads.min(items.len());
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<I>> = Vec::with_capacity(threads);
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<I> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    let nested: Vec<Vec<O>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<O>>()))
+    let chunks = items.len().div_ceil(chunk);
+    let mut items = items.into_iter();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..chunks)
+            .map(|_| {
+                let c: Vec<I> = items.by_ref().take(chunk).collect();
+                s.spawn(move || c.into_iter().map(f).collect::<Vec<O>>())
+            })
             .collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
-    });
-    nested.into_iter().flatten().collect()
-}
-
-fn par_apply<I, O, F>(items: Vec<I>, f: &F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    par_apply_with(items, f, current_num_threads())
-}
-
-/// A parallel iterator: a lazily composed pipeline evaluated by
-/// [`ParallelIterator::drive`] across worker threads.
-pub trait ParallelIterator: Sized + Send {
-    /// Element type produced by the pipeline.
-    type Item: Send;
-
-    /// Evaluates the pipeline, returning the items in input order.
-    fn drive(self) -> Vec<Self::Item>;
-
-    /// Parallel `map`.
-    fn map<O, F>(self, f: F) -> Map<Self, F>
-    where
-        O: Send,
-        F: Fn(Self::Item) -> O + Sync + Send,
-    {
-        Map { base: self, f }
-    }
-
-    /// Parallel `filter`.
-    fn filter<F>(self, f: F) -> Filter<Self, F>
-    where
-        F: Fn(&Self::Item) -> bool + Sync + Send,
-    {
-        Filter { base: self, f }
-    }
-
-    /// Parallel `filter_map`.
-    fn filter_map<O, F>(self, f: F) -> FilterMap<Self, F>
-    where
-        O: Send,
-        F: Fn(Self::Item) -> Option<O> + Sync + Send,
-    {
-        FilterMap { base: self, f }
-    }
-
-    /// Parallel `flat_map` (each produced iterator is drained serially
-    /// within its item's slot, keeping the overall order).
-    fn flat_map<It, F>(self, f: F) -> FlatMap<Self, F>
-    where
-        It: IntoIterator,
-        It::Item: Send,
-        F: Fn(Self::Item) -> It + Sync + Send,
-    {
-        FlatMap { base: self, f }
-    }
-
-    /// Evaluates and collects into any `FromIterator` container.
-    fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
-        C::from_par_iter_vec(self.drive())
-    }
-
-    /// Evaluates and sums the items.
-    fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-        self.drive().into_iter().sum()
-    }
-
-    /// Evaluates and counts the items.
-    fn count(self) -> usize {
-        self.drive().len()
-    }
-
-    /// Evaluates the pipeline for its side effects.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync + Send,
-    {
-        let _: Vec<()> = Map { base: self, f: &f }.drive();
-    }
-
-    /// Minimum by comparator; first minimum wins on ties (serial
-    /// semantics).
-    fn min_by<F>(self, cmp: F) -> Option<Self::Item>
-    where
-        F: Fn(&Self::Item, &Self::Item) -> std::cmp::Ordering + Sync + Send,
-    {
-        self.drive()
-            .into_iter()
-            .reduce(|a, b| if cmp(&b, &a).is_lt() { b } else { a })
-    }
-
-    /// Maximum by comparator; last maximum wins on ties (serial
-    /// semantics).
-    fn max_by<F>(self, cmp: F) -> Option<Self::Item>
-    where
-        F: Fn(&Self::Item, &Self::Item) -> std::cmp::Ordering + Sync + Send,
-    {
-        self.drive()
-            .into_iter()
-            .reduce(|a, b| if cmp(&b, &a).is_lt() { a } else { b })
-    }
-}
-
-/// Conversion into a [`ParallelIterator`] (mirror of rayon's trait).
-pub trait IntoParallelIterator {
-    /// Element type of the resulting iterator.
-    type Item: Send;
-    /// Concrete iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Converts `self`.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-/// `par_iter()` — by-reference parallel iteration (rayon's blanket form).
-pub trait IntoParallelRefIterator<'data> {
-    /// Element type (a reference).
-    type Item: Send + 'data;
-    /// Concrete iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Iterates over `&self` in parallel.
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, I: 'data + ?Sized> IntoParallelRefIterator<'data> for I
-where
-    &'data I: IntoParallelIterator,
-{
-    type Item = <&'data I as IntoParallelIterator>::Item;
-    type Iter = <&'data I as IntoParallelIterator>::Iter;
-    fn par_iter(&'data self) -> Self::Iter {
-        self.into_par_iter()
-    }
-}
-
-/// Collection from a parallel iterator (shim: via the materialized `Vec`).
-pub trait FromParallelIterator<T> {
-    /// Builds the container from the evaluated items.
-    fn from_par_iter_vec(items: Vec<T>) -> Self;
-}
-
-impl<T, C: FromIterator<T>> FromParallelIterator<T> for C {
-    fn from_par_iter_vec(items: Vec<T>) -> Self {
-        items.into_iter().collect()
-    }
-}
-
-/// Base iterator over an owned `Vec`.
-pub struct VecParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for VecParIter<T> {
-    type Item = T;
-    fn drive(self) -> Vec<T> {
-        self.items
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecParIter<T>;
-    fn into_par_iter(self) -> VecParIter<T> {
-        VecParIter { items: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelIterator for &'a Vec<T> {
-    type Item = &'a T;
-    type Iter = VecParIter<&'a T>;
-    fn into_par_iter(self) -> VecParIter<&'a T> {
-        VecParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelIterator for &'a [T] {
-    type Item = &'a T;
-    type Iter = VecParIter<&'a T>;
-    fn into_par_iter(self) -> VecParIter<&'a T> {
-        VecParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-macro_rules! range_into_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            type Iter = VecParIter<$t>;
-            fn into_par_iter(self) -> VecParIter<$t> {
-                VecParIter { items: self.collect() }
-            }
-        }
-        impl IntoParallelIterator for std::ops::RangeInclusive<$t> {
-            type Item = $t;
-            type Iter = VecParIter<$t>;
-            fn into_par_iter(self) -> VecParIter<$t> {
-                VecParIter { items: self.collect() }
-            }
-        }
-    )*};
-}
-range_into_par_iter!(u32, u64, usize, i32, i64);
-
-/// `map` adapter.
-pub struct Map<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, O, F> ParallelIterator for Map<P, F>
-where
-    P: ParallelIterator,
-    O: Send,
-    F: Fn(P::Item) -> O + Sync + Send,
-{
-    type Item = O;
-    fn drive(self) -> Vec<O> {
-        par_apply(self.base.drive(), &self.f)
-    }
-}
-
-/// `filter` adapter.
-pub struct Filter<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, F> ParallelIterator for Filter<P, F>
-where
-    P: ParallelIterator,
-    F: Fn(&P::Item) -> bool + Sync + Send,
-{
-    type Item = P::Item;
-    fn drive(self) -> Vec<P::Item> {
-        let f = &self.f;
-        par_apply(self.base.drive(), &|x| if f(&x) { Some(x) } else { None })
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-/// `filter_map` adapter.
-pub struct FilterMap<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, O, F> ParallelIterator for FilterMap<P, F>
-where
-    P: ParallelIterator,
-    O: Send,
-    F: Fn(P::Item) -> Option<O> + Sync + Send,
-{
-    type Item = O;
-    fn drive(self) -> Vec<O> {
-        par_apply(self.base.drive(), &self.f)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-/// `flat_map` adapter.
-pub struct FlatMap<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, It, F> ParallelIterator for FlatMap<P, F>
-where
-    P: ParallelIterator,
-    It: IntoIterator,
-    It::Item: Send,
-    F: Fn(P::Item) -> It + Sync + Send,
-{
-    type Item = It::Item;
-    fn drive(self) -> Vec<It::Item> {
-        let f = &self.f;
-        par_apply(self.base.drive(), &|x| f(x).into_iter().collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-}
-
-/// Everything a caller normally imports from `rayon::prelude::*`.
-pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-    };
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn map_collect_preserves_order() {
-        let v: Vec<u32> = (0u32..1000).into_par_iter().map(|x| x * 2).collect();
-        let expect: Vec<u32> = (0u32..1000).map(|x| x * 2).collect();
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn chunked_apply_preserves_order_for_every_thread_count() {
-        let items: Vec<usize> = (0..37).collect();
-        for threads in 1..=8 {
-            let out = par_apply_with(items.clone(), &|x| x + 1, threads);
-            let expect: Vec<usize> = items.iter().map(|x| x + 1).collect();
-            assert_eq!(out, expect, "threads={threads}");
+    fn matches_the_serial_map_for_every_thread_count() {
+        let items: Vec<u64> = (0..103).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        for threads in 1..=12 {
+            assert_eq!(map_on(items.clone(), &|x| x * x + 1, threads), expect);
         }
+        let few: Vec<u64> = (0..5).collect();
+        assert_eq!(map_on(few, &|x| x + 1, 12), vec![1, 2, 3, 4, 5]);
+        assert_eq!(par_map(items, |x| x * x + 1), expect);
     }
 
     #[test]
-    fn filter_map_flat_map_match_serial() {
-        let xs: Vec<i64> = (0i64..100).collect();
-        let par: Vec<i64> = xs
-            .par_iter()
-            .filter_map(|&x| if x % 3 == 0 { Some(x) } else { None })
-            .flat_map(|x| vec![x, -x])
-            .collect();
-        let ser: Vec<i64> = xs
-            .iter()
-            .filter_map(|&x| if x % 3 == 0 { Some(x) } else { None })
-            .flat_map(|x| vec![x, -x])
-            .collect();
-        assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn sum_count_min_max_match_serial() {
-        let xs: Vec<u64> = (1u64..=100).collect();
-        assert_eq!(xs.par_iter().map(|&x| x).sum::<u64>(), 5050);
-        assert_eq!(xs.par_iter().filter(|&&x| x % 2 == 0).count(), 50);
-        let min = (1u64..=100)
-            .into_par_iter()
-            .min_by(|a, b| a.cmp(b))
-            .unwrap();
-        let max = (1u64..=100)
-            .into_par_iter()
-            .max_by(|a, b| a.cmp(b))
-            .unwrap();
-        assert_eq!((min, max), (1, 100));
-    }
-
-    #[test]
-    fn for_each_runs_every_item() {
-        let hits = AtomicUsize::new(0);
-        (0usize..64).into_par_iter().for_each(|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 64);
+    fn empty_input_gives_empty_output() {
+        for threads in [1, 4] {
+            assert!(map_on(Vec::<u32>::new(), &|x| x, threads).is_empty());
+        }
+        assert!(par_map(Vec::<u32>::new(), |x| x).is_empty());
     }
 
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            par_apply_with(
+            map_on(
                 (0..10).collect::<Vec<u32>>(),
                 &|x| {
                     assert!(x != 7, "boom");

@@ -125,7 +125,7 @@ fn anchor_parser_and_declaration_check() {
     assert_eq!(found[0].target, Path::new("/repo/docs/../src/p.rs"));
 
     assert!(declares("pub fn plan(", "plan"));
-    assert!(declares("pub(crate) struct EvalCache {", "EvalCache"));
+    assert!(declares("pub(crate) struct KeyMap {", "KeyMap"));
     assert!(declares(
         "    fn predict_time(&self) -> f64;",
         "predict_time"

@@ -60,6 +60,7 @@ proptest! {
             a.on_demand_baseline_cost.to_bits(),
             b.on_demand_baseline_cost.to_bits()
         );
+        prop_assert_eq!(a.baseline_time.to_bits(), b.baseline_time.to_bits());
         prop_assert_eq!(a.training.total_time.to_bits(), b.training.total_time.to_bits());
         prop_assert_eq!(a.training.final_loss.to_bits(), b.training.final_loss.to_bits());
         prop_assert_eq!(a.training.revocations, b.training.revocations);

@@ -119,8 +119,6 @@ fn disabled_hooks_do_not_allocate() {
         ("core::plan_finished", &|| {
             core::obs::plan_finished(7, false)
         }),
-        ("core::cache_hit", &core::obs::cache_hit),
-        ("core::cache_miss", &core::obs::cache_miss),
         ("elastic::guarded_begin", &|| {
             elastic::obs::guarded_begin();
         }),
