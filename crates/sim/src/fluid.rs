@@ -23,12 +23,21 @@
 //! smallest remaining volume and one rate. A flow's slot holds only its class,
 //! its position in the class and its tag; releasing a flow swap-removes it
 //! from its class, and slots and the free list are allocated as a
-//! flow-by-flow solver would, so every [`FlowId`] is the same. A dense list of
-//! live classes, and per resource the live classes crossing it, drive every
-//! walk. In a PS star with `n` workers and one PS that is `n + 1` classes
-//! however many chunks are in flight. A class whose last flow leaves is
-//! unmapped and its entry recycled, so the class table never outgrows the
-//! peak number of live link sets.
+//! flow-by-flow solver would, so every [`FlowId`] is the same.
+//!
+//! Link sets are *interned*: [`FluidSystem::link_set`] sorts, deduplicates
+//! and validates a set once and returns a [`LinkSet`] handle, the index of
+//! the set's class, and [`FluidSystem::start_flow_on`] starts a flow on a
+//! handle without allocating, sorting or hashing. A class entry lives for
+//! the whole run, so the table holds one entry per distinct link set ever
+//! used: in the engine's PS star with `n` workers and `p` PSs, at most
+//! `n·p + p`. A dense list of live classes, and per resource the live
+//! classes crossing it, drive every walk. A class whose last flow leaves
+//! drops out of both lists, so every walk covers only classes with flows
+//! (`n + 1` of them in a one-PS star however many chunks are in flight); it
+//! keeps its links, its map entry and its vectors' capacity, and when it is
+//! refilled it rejoins the walks with rate 0 and an infinite minimum, as a
+//! new class does.
 //!
 //! # Resource-driven filling
 //!
@@ -69,9 +78,15 @@
 //!   `r = (r − d).max(0)`;
 //! * subtracting one `d` and dividing by one positive rate are both monotone,
 //!   so a class's smallest volume stays its smallest through a drain and
-//!   gives its earliest completion; [`FluidSystem::next_completion`] then
-//!   picks, among the classes that reach the earliest time, the lowest slot
-//!   whose own quotient equals it, which is what a slot walk picks. When that
+//!   gives its earliest completion. The solve computes that completion as it
+//!   freezes each class (every class with flows is frozen exactly once per
+//!   solve) and keeps the earliest time and the classes that reach it;
+//!   [`FluidSystem::next_completion`] then picks, among those classes, the
+//!   lowest slot whose own quotient equals it, which is what a slot walk
+//!   picks. A drain moves the volumes, so [`FluidSystem::advance`] marks the
+//!   rates stale and the next query re-solves: equal loads and capacities
+//!   give the same rates and bits, and neither class index nor class order
+//!   enters the arithmetic. When that
 //!   time is a normal float, each quotient is within 2^-53 of the exact one,
 //!   so a volume above `min × (1 + 2^-49)` cannot round to it and is not
 //!   divided; a zero, subnormal or infinite time takes the full scan;
@@ -217,20 +232,28 @@ enum Slot {
     },
 }
 
-/// The live flows of one link-set class and their common rate.
+/// An interned link set, from [`FluidSystem::link_set`]: a handle that
+/// starts flows with [`FluidSystem::start_flow_on`] without sorting,
+/// hashing or allocating. It is valid for the whole life of the system
+/// that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LinkSet(u32);
+
+/// The flows of one link-set class and their common rate. A class lives for
+/// the whole run; it is in the walks only while it has flows.
 #[derive(Debug, Clone, Default)]
 struct Class {
+    /// The sorted, deduplicated link set.
     links: Vec<ResourceId>,
     rate: f64,
-    /// Remaining volume of each flow, parallel to `slots`; empty marks a
-    /// recycled entry.
+    /// Remaining volume of each flow, parallel to `slots`.
     remaining: Vec<f64>,
     /// Slot index of each flow.
     slots: Vec<u32>,
     /// The smallest of `remaining`; `None` until rescanned after the flow
     /// holding it left.
     min_remaining: Option<f64>,
-    /// Position in [`FluidSystem::live`].
+    /// Position in [`FluidSystem::live`] while the class has flows.
     live_pos: u32,
     /// The solve that last froze this class (see [`FluidSystem::epoch`]).
     frozen_in: u64,
@@ -280,9 +303,11 @@ impl FlowSpec {
     }
 }
 
-/// A set of resources and the flows currently sharing them.
+/// A set of resources, the link sets interned over them and the flows
+/// currently sharing them.
 ///
-/// Typical driving loop (see `cynthia-train` for the real one):
+/// Typical driving loop (see `cynthia-train` for the real one, which
+/// interns every link set it uses up front and starts flows on handles):
 ///
 /// ```
 /// use cynthia_sim::fluid::{FluidSystem, FlowSpec};
@@ -290,7 +315,8 @@ impl FlowSpec {
 /// let mut sys = FluidSystem::new();
 /// let link = sys.add_resource(100.0, "ps-nic");
 /// let a = sys.start_flow(FlowSpec::new(vec![link], 50.0, 1));
-/// let _b = sys.start_flow(FlowSpec::new(vec![link], 200.0, 2));
+/// let on_link = sys.link_set(&[link]);
+/// let _b = sys.start_flow_on(on_link, 200.0, 2);
 /// // Two equal flows share 100 MB/s -> 50 each.
 /// assert!((sys.flow_rate(a).unwrap() - 50.0).abs() < 1e-9);
 /// let (first, dt) = sys.next_completion().unwrap();
@@ -307,14 +333,13 @@ pub struct FluidSystem {
     slots: Vec<Slot>,
     free: Vec<u32>,
     active: usize,
+    /// One entry per link set ever interned, indexed by [`LinkSet`].
     classes: Vec<Class>,
     /// Sorted link set → class.
     class_of: KeyMap<Vec<ResourceId>, u32>,
-    /// Recycled entries, reused by new link sets.
-    free_classes: Vec<u32>,
     /// Indices of the classes with flows.
     live: Vec<u32>,
-    /// Per resource, the live classes crossing it.
+    /// Per resource, the classes with flows crossing it.
     classes_on: Vec<Vec<u32>>,
     loads: Loads,
     /// Rates must be re-solved before the next query.
@@ -332,6 +357,9 @@ pub struct FluidSystem {
     filling: Vec<u32>,
     /// The classes frozen in the current round.
     frozen: Vec<u32>,
+    /// The earliest first completion the last solve found, and the classes
+    /// that reach it.
+    best: Time,
     tied: Vec<u32>,
     crossing: Vec<(u32, f64)>,
     repeat_sums: RepeatSums,
@@ -443,7 +471,46 @@ impl FluidSystem {
         self.active
     }
 
-    /// Starts a flow and returns its id. Rates of all flows are recomputed
+    /// Interns a link set and returns its handle; the same set, in any
+    /// order and with any repeats, always gets the same handle. Interning
+    /// sorts, deduplicates and validates the links once, so
+    /// [`start_flow_on`] does none of that per flow.
+    ///
+    /// # Panics
+    ///
+    /// If `links` is empty or names a foreign resource.
+    ///
+    /// [`start_flow_on`]: FluidSystem::start_flow_on
+    pub fn link_set(&mut self, links: &[ResourceId]) -> LinkSet {
+        self.intern(links.to_vec())
+    }
+
+    /// [`FluidSystem::link_set`] on an owned vector, sorted in place: a set
+    /// already interned allocates nothing more.
+    fn intern(&mut self, mut links: Vec<ResourceId>) -> LinkSet {
+        assert!(!links.is_empty(), "a flow needs at least one link");
+        links.sort_unstable_by_key(|r| r.0);
+        links.dedup();
+        if let Some(&c) = self.class_of.get(links.as_slice()) {
+            return LinkSet(c);
+        }
+        for l in &links {
+            assert!(
+                (l.0 as usize) < self.resources.len(),
+                "unknown resource {l:?}"
+            );
+        }
+        let c = self.classes.len() as u32;
+        self.classes.push(Class {
+            links: links.clone(),
+            ..Class::default()
+        });
+        self.class_of.insert(links, c);
+        LinkSet(c)
+    }
+
+    /// Starts a flow on `spec.links` and returns its id: interning plus
+    /// [`FluidSystem::start_flow_on`]. Rates of all flows are recomputed
     /// lazily on the next query.
     ///
     /// A zero-volume flow is legal and completes on the next [`advance`] of
@@ -456,23 +523,30 @@ impl FluidSystem {
     ///
     /// [`advance`]: FluidSystem::advance
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+        let set = self.intern(spec.links);
+        self.start_flow_on(set, spec.volume, spec.tag)
+    }
+
+    /// Starts a flow of `volume` on an interned link set, handing back
+    /// `tag` on completion, and returns its id. It allocates only when a
+    /// slot or class vector has to grow.
+    ///
+    /// # Panics
+    ///
+    /// If the volume is negative or not finite, or `set` was not made by
+    /// this system.
+    pub fn start_flow_on(&mut self, set: LinkSet, volume: f64, tag: u64) -> FlowId {
         assert!(
-            spec.volume >= 0.0 && spec.volume.is_finite(),
+            volume >= 0.0 && volume.is_finite(),
             "flow volume must be finite and non-negative"
         );
-        assert!(!spec.links.is_empty(), "a flow needs at least one link");
+        let class = set.0;
+        assert!(
+            (class as usize) < self.classes.len(),
+            "unknown link set {class} (system has {})",
+            self.classes.len()
+        );
         crate::obs::flow_started();
-        let mut links = spec.links;
-        links.sort_by_key(|r| r.0);
-        links.dedup();
-        for l in &links {
-            assert!(
-                (l.0 as usize) < self.resources.len(),
-                "unknown resource {l:?}"
-            );
-        }
-        self.loads.add(&links);
-        let class = self.class_for(links);
         let (idx, gen) = match self.free.pop() {
             Some(idx) => match self.slots[idx as usize] {
                 Slot::Vacant { gen } => (idx, gen),
@@ -484,44 +558,31 @@ impl FluidSystem {
             }
         };
         let c = &mut self.classes[class as usize];
+        self.loads.add(&c.links);
+        if c.slots.is_empty() {
+            // The class (re)joins the walks as a new class would.
+            c.rate = 0.0;
+            c.min_remaining = Some(f64::INFINITY);
+            c.live_pos = self.live.len() as u32;
+            self.live.push(class);
+            for l in &c.links {
+                self.classes_on[l.0 as usize].push(class);
+            }
+        }
         self.slots[idx as usize] = Slot::Occupied {
             gen,
             class,
             pos: c.remaining.len() as u32,
-            tag: spec.tag,
+            tag,
         };
-        c.remaining.push(spec.volume);
+        c.remaining.push(volume);
         c.slots.push(idx);
         if let Some(m) = &mut c.min_remaining {
-            *m = m.min(spec.volume);
+            *m = m.min(volume);
         }
         self.active += 1;
         self.dirty = true;
         FlowId { idx, gen }
-    }
-
-    /// The class for the sorted link set `links`, registering it (in a
-    /// recycled entry if one is free) on first use.
-    fn class_for(&mut self, links: Vec<ResourceId>) -> u32 {
-        if let Some(&c) = self.class_of.get(&links) {
-            return c;
-        }
-        let c = self.free_classes.pop().unwrap_or_else(|| {
-            self.classes.push(Class::default());
-            (self.classes.len() - 1) as u32
-        });
-        // A recycled entry keeps its emptied vectors' capacity.
-        let class = &mut self.classes[c as usize];
-        class.links.clone_from(&links);
-        class.rate = 0.0;
-        class.min_remaining = Some(f64::INFINITY);
-        class.live_pos = self.live.len() as u32;
-        self.live.push(c);
-        for l in &links {
-            self.classes_on[l.0 as usize].push(c);
-        }
-        self.class_of.insert(links, c);
-        c
     }
 
     /// `(class, position)` of a live flow.
@@ -589,16 +650,14 @@ impl FluidSystem {
                 *p = pos;
             }
         } else if class.slots.is_empty() {
-            let links = std::mem::take(&mut class.links);
+            // The emptied class leaves the walks but keeps its entry.
             let live_pos = class.live_pos as usize;
-            for l in &links {
+            for l in &class.links {
                 let on = &mut self.classes_on[l.0 as usize];
                 if let Some(i) = on.iter().position(|&x| x == c) {
                     on.swap_remove(i);
                 }
             }
-            self.class_of.remove(&links);
-            self.free_classes.push(c);
             self.live.swap_remove(live_pos);
             if let Some(&moved) = self.live.get(live_pos) {
                 self.classes[moved as usize].live_pos = live_pos as u32;
@@ -669,6 +728,8 @@ impl FluidSystem {
         }
         self.dirty = false;
         self.epoch += 1;
+        self.best = f64::INFINITY;
+        self.tied.clear();
 
         let n_res = self.resources.len();
         self.used.resize(n_res, 0.0);
@@ -710,6 +771,15 @@ impl FluidSystem {
                         class.frozen_in = self.epoch;
                         class.rate = lambda;
                         self.frozen.push(c);
+                        match class.first_completion() {
+                            Some(dt) if dt < self.best => {
+                                self.best = dt;
+                                self.tied.clear();
+                                self.tied.push(c);
+                            }
+                            Some(dt) if dt == self.best => self.tied.push(c),
+                            _ => {}
+                        }
                     }
                 }
             }
@@ -753,19 +823,7 @@ impl FluidSystem {
     /// [`FluidSystem::is_stalled`] to distinguish).
     pub fn next_completion(&mut self) -> Option<(FlowId, Time)> {
         self.ensure_rates();
-        let mut best = f64::INFINITY;
-        self.tied.clear();
-        for &c in &self.live {
-            match self.classes[c as usize].first_completion() {
-                Some(dt) if dt < best => {
-                    best = dt;
-                    self.tied.clear();
-                    self.tied.push(c);
-                }
-                Some(dt) if dt == best => self.tied.push(c),
-                _ => {}
-            }
-        }
+        let best = self.best;
         // The lowest slot whose own completion time is `best`, among the
         // classes that reach it. A normal quotient is within 2^-53 of the
         // exact one, so when `best` is normal only volumes within `TIE_SPAN`
@@ -832,6 +890,9 @@ impl FluidSystem {
         for (id, _) in &done {
             self.release(id.idx);
         }
+        // The volumes moved, so the completion search is stale: the next
+        // query re-solves, and equal loads and capacities give equal rates.
+        self.dirty = true;
         crate::obs::flows_finished(done.len());
         done
     }
@@ -1151,26 +1212,117 @@ mod tests {
     }
 
     #[test]
-    fn class_table_stays_bounded_under_churn() {
+    fn class_table_grows_only_with_distinct_link_sets() {
         let mut sys = FluidSystem::new();
-        let rids: Vec<_> = (0..64)
+        let r: Vec<_> = (0..3)
             .map(|i| sys.add_resource(10.0, format!("r{i}")))
             .collect();
-        let keep = sys.start_flow(FlowSpec::new(vec![rids[0]], 1e9, 0));
-        // 63 link sets, each used once: every emptied class's entry is
-        // reused instead of growing the table.
-        for (i, r) in rids.iter().enumerate().skip(1) {
-            let f = sys.start_flow(FlowSpec::new(vec![*r], 1.0, i as u64));
+        let sets = [vec![r[0]], vec![r[1], r[0]], vec![r[2], r[1], r[2]]];
+        let handles: Vec<LinkSet> = sets.iter().map(|s| sys.link_set(s)).collect();
+        // Every cycle empties its class again; half of them start by
+        // handle, half through a `FlowSpec`.
+        for i in 0..10_000u64 {
+            let k = i as usize % 3;
+            let f = if i % 2 == 0 {
+                sys.start_flow_on(handles[k], 1.0, i)
+            } else {
+                sys.start_flow(FlowSpec::new(sets[k].clone(), 1.0, i))
+            };
             assert_eq!(sys.flow_rate(f), Some(10.0));
             sys.cancel_flow(f);
         }
-        assert!(
-            sys.classes.len() <= 2,
-            "{} class entries",
-            sys.classes.len()
-        );
-        assert_eq!(sys.flow_rate(keep), Some(10.0));
-        assert_eq!(sys.total_rate_on(rids[63]), 0.0);
+        assert_eq!(sys.classes.len(), 3);
+        assert_eq!(sys.class_of.len(), 3);
+        assert_walks_hold_only_filled_classes(&sys);
+    }
+
+    /// `live` and every resource's `classes_on` list hold exactly the
+    /// classes with flows, and each live class knows its position.
+    pub(super) fn assert_walks_hold_only_filled_classes(sys: &FluidSystem) {
+        let filled: Vec<u32> = (0..sys.classes.len() as u32)
+            .filter(|&c| !sys.classes[c as usize].slots.is_empty())
+            .collect();
+        let mut live = sys.live.clone();
+        live.sort_unstable();
+        assert_eq!(live, filled, "live classes");
+        for (i, &c) in sys.live.iter().enumerate() {
+            assert_eq!(sys.classes[c as usize].live_pos as usize, i);
+        }
+        for (r, on) in sys.classes_on.iter().enumerate() {
+            let mut on = on.clone();
+            on.sort_unstable();
+            let crossing: Vec<u32> = filled
+                .iter()
+                .copied()
+                .filter(|&c| {
+                    sys.classes[c as usize]
+                        .links
+                        .contains(&ResourceId(r as u32))
+                })
+                .collect();
+            assert_eq!(on, crossing, "classes on resource {r}");
+        }
+    }
+
+    #[test]
+    fn emptied_classes_leave_every_walk() {
+        let mut sys = FluidSystem::new();
+        let r: Vec<_> = (0..4)
+            .map(|i| sys.add_resource(10.0 + i as f64, format!("r{i}")))
+            .collect();
+        for tag in 0..12u64 {
+            let links = vec![r[tag as usize % 4], r[tag as usize / 3]];
+            sys.start_flow(FlowSpec::new(links, 1.0 + tag as f64, tag));
+            assert_walks_hold_only_filled_classes(&sys);
+        }
+        // Classes empty by cancellation, then by completion.
+        sys.cancel_flows_where(|t| t % 4 < 2);
+        assert_walks_hold_only_filled_classes(&sys);
+        while let Some((_, dt)) = sys.next_completion() {
+            sys.advance(dt);
+            assert_walks_hold_only_filled_classes(&sys);
+        }
+        assert!(sys.live.is_empty());
+        assert_eq!(sys.classes.len(), 8, "every link set keeps its entry");
+    }
+
+    #[test]
+    fn unsorted_and_repeated_links_land_in_the_sorted_sets_class() {
+        let mut sys = FluidSystem::new();
+        let a = sys.add_resource(10.0, "a");
+        let b = sys.add_resource(20.0, "b");
+        let set = sys.link_set(&[a, b]);
+        assert_eq!(sys.link_set(&[b, a, b]), set);
+        let f = sys.start_flow(FlowSpec::new(vec![b, a, a], 1.0, 0));
+        let g = sys.start_flow_on(set, 1.0, 1);
+        assert_eq!(sys.classes.len(), 1);
+        assert_eq!(sys.get(f).map(|(c, _)| c), Some(set.0 as usize));
+        assert_eq!(sys.get(g).map(|(c, _)| c), Some(set.0 as usize));
+        // Each link is counted once per flow.
+        assert_eq!(sys.loads.count, vec![2, 2]);
+        assert_eq!(sys.flow_rate(f), Some(5.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown link set 1 (system has 1)")]
+    fn foreign_link_set_is_rejected() {
+        let mut other = FluidSystem::new();
+        let r = other.add_resource(10.0, "r");
+        let s = other.add_resource(10.0, "s");
+        other.link_set(&[r]);
+        let foreign = other.link_set(&[s]);
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "r");
+        sys.link_set(&[r]);
+        sys.start_flow_on(foreign, 1.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown resource")]
+    fn link_set_with_a_foreign_resource_is_rejected() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "r");
+        sys.link_set(&[r, ResourceId(1)]);
     }
 
     #[test]

@@ -228,13 +228,28 @@ struct Pair {
     oracle: Oracle,
     rids: Vec<ResourceId>,
     capacities: Vec<f64>,
+    /// Link sets as callers write them: unsorted, possibly with repeats.
     patterns: Vec<Vec<ResourceId>>,
     ids: Vec<FlowId>,
+    /// The sorted, deduplicated link set of each flow, indexed by tag.
+    tag_sets: Vec<Vec<ResourceId>>,
     next_tag: u64,
 }
 
 fn same(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
+}
+
+fn sorted_set(links: &[ResourceId]) -> Vec<ResourceId> {
+    let mut set = links.to_vec();
+    set.sort_unstable_by_key(|r| r.0);
+    set.dedup();
+    set
+}
+
+/// Cancelled `(tag, remaining)` pairs, with the volumes as bits.
+fn cancelled_bits(v: Vec<(u64, f64)>) -> Vec<(u64, u64)> {
+    v.into_iter().map(|(t, r)| (t, r.to_bits())).collect()
 }
 
 impl Pair {
@@ -246,6 +261,7 @@ impl Pair {
             capacities: Vec::new(),
             patterns: Vec::new(),
             ids: Vec::new(),
+            tag_sets: Vec::new(),
             next_tag: 0,
         };
         for c in capacities {
@@ -262,14 +278,21 @@ impl Pair {
         r
     }
 
-    fn start(&mut self, pattern: usize, volume: f64) {
-        let spec = FlowSpec::new(
-            self.patterns[pattern % self.patterns.len()].clone(),
-            volume,
-            self.next_tag,
-        );
+    /// Starts one flow on both, in the system through an interned handle
+    /// or through a [`FlowSpec`].
+    fn start(&mut self, pattern: usize, volume: f64, by_handle: bool) {
+        let links = self.patterns[pattern % self.patterns.len()].clone();
+        let tag = self.next_tag;
         self.next_tag += 1;
-        let id = self.sys.start_flow(spec.clone());
+        self.tag_sets.push(sorted_set(&links));
+        let id = if by_handle {
+            let set = self.sys.link_set(&links);
+            self.sys.start_flow_on(set, volume, tag)
+        } else {
+            self.sys
+                .start_flow(FlowSpec::new(links.clone(), volume, tag))
+        };
+        let spec = FlowSpec::new(links, volume, tag);
         assert_eq!(id, self.oracle.start_flow(spec), "slot allocation diverged");
         self.ids.push(id);
     }
@@ -296,22 +319,30 @@ impl Pair {
             let (a, b) = (self.sys.total_rate_on(r), self.oracle.total_rate_on(r));
             prop_assert!(same(a, b), "total on {:?}: {} vs {}", r, a, b);
         }
+        super::tests::assert_walks_hold_only_filled_classes(&self.sys);
         Ok(())
     }
 
-    /// Advances both by `dt`, or to the next completion when `dt` is `None`.
-    fn advance(&mut self, dt: Option<f64>) -> Result<(), TestCaseError> {
+    fn same_next_completion(&mut self) -> Result<(), TestCaseError> {
         let (a, b) = (self.sys.next_completion(), self.oracle.next_completion());
         prop_assert_eq!(
             a.map(|(id, dt)| (id, dt.to_bits())),
             b.map(|(id, dt)| (id, dt.to_bits()))
         );
-        let Some(dt) = dt.or(a.map(|(_, dt)| dt)) else {
+        Ok(())
+    }
+
+    /// Advances both by `dt`, or to the next completion when `dt` is `None`,
+    /// then compares the next completion: after a drain, the system
+    /// re-solves.
+    fn advance(&mut self, dt: Option<f64>) -> Result<(), TestCaseError> {
+        self.same_next_completion()?;
+        let Some(dt) = dt.or(self.sys.next_completion().map(|(_, dt)| dt)) else {
             return Ok(());
         };
         let done = self.sys.advance(dt);
         prop_assert_eq!(done, self.oracle.advance(dt), "completions after {}", dt);
-        Ok(())
+        self.same_next_completion()
     }
 
     /// Replays one encoded operation on both solvers.
@@ -322,7 +353,7 @@ impl Pair {
                     0 => [0.0, 8.0, 64.0][a / 4 % 3],
                     _ => 0.5 + 500.0 * x,
                 };
-                self.start(a / 128, volume);
+                self.start(a / 128, volume, kind == 2);
             }
             3 => self.advance(None)?,
             4 => {
@@ -339,10 +370,7 @@ impl Pair {
                 let k = (a / 4) as u64 % m;
                 let p = self.sys.cancel_flows_where(|t| t % m == k);
                 let q = self.oracle.cancel_flows_where(|t| t % m == k);
-                let bits = |v: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
-                    v.into_iter().map(|(t, r)| (t, r.to_bits())).collect()
-                };
-                prop_assert_eq!(bits(p), bits(q));
+                prop_assert_eq!(cancelled_bits(p), cancelled_bits(q));
             }
             7 => {
                 let i = a % self.rids.len();
@@ -360,6 +388,20 @@ impl Pair {
                 let r = self.add_resource(1.0 + 999.0 * x);
                 self.patterns.push(vec![r, other]);
             }
+            11 => {
+                // Empty one link set's class, then refill it: the class
+                // leaves the walks, rejoins them and is solved afresh.
+                let pattern = a % self.patterns.len();
+                let set = sorted_set(&self.patterns[pattern]);
+                let tag_sets = &self.tag_sets;
+                let p = self.sys.cancel_flows_where(|t| tag_sets[t as usize] == set);
+                let q = self
+                    .oracle
+                    .cancel_flows_where(|t| tag_sets[t as usize] == set);
+                prop_assert_eq!(cancelled_bits(p), cancelled_bits(q));
+                self.check()?;
+                self.start(pattern, 0.5 + 500.0 * x, a % 2 == 0);
+            }
             _ => self.check()?,
         }
         Ok(())
@@ -367,7 +409,7 @@ impl Pair {
 }
 
 fn ops() -> impl Strategy<Value = Vec<(u8, usize, f64)>> {
-    prop::collection::vec((0u8..11, 0usize..1 << 12, 0.0f64..1.0), 1..80)
+    prop::collection::vec((0u8..12, 0usize..1 << 12, 0.0f64..1.0), 1..80)
 }
 
 /// Drives both solvers through `ops`, checking as it goes and then until
@@ -441,7 +483,7 @@ fn a_saturated_ps_nic_beside_filling_worker_nics_matches_the_oracle() {
         pair.patterns.extend(r[..3].iter().map(|&w| vec![w, ps]));
     }
     for i in 0..12 {
-        pair.start(i, 10.0 + i as f64);
+        pair.start(i, 10.0 + i as f64, i % 2 == 0);
     }
     pair.check().unwrap();
     assert_eq!(pair.sys.used[r[3].0 as usize].to_bits(), 0.0f64.to_bits());

@@ -47,7 +47,7 @@ use crate::trace::{Activity, TraceRecorder};
 use cynthia_faults::{FaultEvent, FaultKind, FaultPlan, LinkTarget, RecoveryPolicy};
 use cynthia_models::{SyncMode, Workload};
 use cynthia_sim::events::EventQueue;
-use cynthia_sim::fluid::{FlowSpec, FluidSystem, ResourceId};
+use cynthia_sim::fluid::{FluidSystem, LinkSet, ResourceId};
 use cynthia_sim::hash::KeyMap;
 use cynthia_sim::metrics::{Stats, ThroughputRecorder};
 use cynthia_sim::rng::Jitter;
@@ -309,6 +309,11 @@ struct Engine<'a> {
     wk_nic: Vec<ResourceId>,
     ps_nic: Vec<ResourceId>,
     ps_cpu: Vec<ResourceId>,
+    /// Interned `{worker NIC j, PS NIC k}` at `j · n_ps + k`: pushes and
+    /// pulls of one (worker, PS) pair share a link set.
+    nic_pairs: Vec<LinkSet>,
+    /// Interned `{PS CPU k}`, the apply flows' link set.
+    cpu_set: Vec<LinkSet>,
 
     workers: Vec<WorkerState>,
     /// Bitmask of workers still in the fleet (departed workers cleared).
@@ -454,6 +459,12 @@ impl<'a> Engine<'a> {
             .enumerate()
             .map(|(k, cap)| fluid.add_resource(*cap, format!("ps{k}-cpu")))
             .collect();
+        let nic_pairs: Vec<LinkSet> = wk_nic
+            .iter()
+            .flat_map(|&w| ps_nic.iter().map(move |&p| [w, p]))
+            .map(|pair| fluid.link_set(&pair))
+            .collect();
+        let cpu_set: Vec<LinkSet> = ps_cpu.iter().map(|&c| fluid.link_set(&[c])).collect();
 
         let workers = (0..n)
             .map(|j| WorkerState {
@@ -502,6 +513,8 @@ impl<'a> Engine<'a> {
             wk_nic,
             ps_nic,
             ps_cpu,
+            nic_pairs,
+            cpu_set,
             workers,
             active_mask: if n == 128 {
                 u128::MAX
@@ -566,11 +579,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Starts a flow, recording its start time when tracing is enabled.
-    fn launch_flow(&mut self, links: Vec<ResourceId>, volume: f64, t: u64) {
+    fn launch_flow(&mut self, links: LinkSet, volume: f64, t: u64) {
         if self.trace.is_some() {
             self.flow_starts.insert(t, self.queue.now());
         }
-        self.fluid.start_flow(FlowSpec::new(links, volume, t));
+        self.fluid.start_flow_on(links, volume, t);
+    }
+
+    /// The link set of a push or pull between worker `j` and PS `k`.
+    fn nic_pair(&self, j: usize, k: usize) -> LinkSet {
+        self.nic_pairs[j * self.n_ps + k]
     }
 
     /// Records a completed flow span when tracing is enabled.
@@ -856,7 +874,7 @@ impl<'a> Engine<'a> {
         self.comm_begin(iter);
         let k = self.chunk_ps[l];
         self.launch_flow(
-            vec![self.wk_nic[j], self.ps_nic[k]],
+            self.nic_pair(j, k),
             self.chunk_mb[l],
             tag(KIND_PUSH, j, l, iter),
         );
@@ -871,7 +889,7 @@ impl<'a> Engine<'a> {
                 // Gradient arrived: PS ingests/applies it (CPU work).
                 let k = self.chunk_ps[l];
                 let work = self.w.ps_apply_gflops_per_mb * self.chunk_mb[l];
-                self.launch_flow(vec![self.ps_cpu[k]], work, tag(KIND_APPLY, j, l, iter));
+                self.launch_flow(self.cpu_set[k], work, tag(KIND_APPLY, j, l, iter));
             }
             (SyncMode::Bsp, KIND_APPLY) => {
                 self.comm_end(iter);
@@ -907,7 +925,7 @@ impl<'a> Engine<'a> {
             (SyncMode::Asp, KIND_PUSH) => {
                 let k = self.chunk_ps[l];
                 let work = self.w.ps_apply_gflops_per_mb * self.chunk_mb[l];
-                self.launch_flow(vec![self.ps_cpu[k]], work, tag(KIND_APPLY, j, l, iter));
+                self.launch_flow(self.cpu_set[k], work, tag(KIND_APPLY, j, l, iter));
             }
             (SyncMode::Asp, KIND_APPLY) => {
                 // Guarded: a rollback zeroes the counter while a stale
@@ -953,7 +971,7 @@ impl<'a> Engine<'a> {
             }
             self.comm_begin(iter);
             self.launch_flow(
-                vec![self.ps_nic[k], self.wk_nic[dst]],
+                self.nic_pair(dst, k),
                 self.chunk_mb[l],
                 tag(KIND_PULL, dst, l, iter),
             );
@@ -1138,7 +1156,7 @@ impl<'a> Engine<'a> {
         for l in 0..self.chunk_mb.len() {
             let k = self.chunk_ps[l];
             self.launch_flow(
-                vec![self.ps_nic[k], self.wk_nic[j]],
+                self.nic_pair(j, k),
                 self.chunk_mb[l],
                 tag(KIND_RESTORE, j, l, restore_uid),
             );
@@ -1543,7 +1561,7 @@ impl<'a> Engine<'a> {
         for l in 0..self.chunk_mb.len() {
             let k = self.chunk_ps[l];
             self.launch_flow(
-                vec![self.wk_nic[j], self.ps_nic[k]],
+                self.nic_pair(j, k),
                 self.chunk_mb[l],
                 tag(KIND_PUSH, j, l, uid),
             );
@@ -1602,7 +1620,7 @@ impl<'a> Engine<'a> {
         for l in 0..self.chunk_mb.len() {
             let k = self.chunk_ps[l];
             self.launch_flow(
-                vec![self.ps_nic[k], self.wk_nic[j]],
+                self.nic_pair(j, k),
                 self.chunk_mb[l],
                 tag(KIND_PULL, j, l, uid),
             );
