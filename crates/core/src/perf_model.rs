@@ -30,6 +30,27 @@
 //! the provisioner's Eq. (12) ratio uses; ablation toggles let benchmarks
 //! degrade the model into the bottleneck-oblivious / non-overlapping
 //! baselines to quantify each ingredient's contribution.
+//!
+//! ## Band evaluation
+//!
+//! Alg. 1 scores every worker count of an `(instance type, n_ps)` band,
+//! so [`PerfModel::predict_band`] predicts a whole band into a buffer.
+//! Its contract is exactness: entry `i` equals
+//! `predict_time(&ClusterShape::homogeneous(ty, first_n + i, n_ps), u_i)`
+//! bit for bit. The default makes exactly those calls, growing one shape
+//! by a worker per candidate. [`CynthiaModel`] fills a band without
+//! building shapes:
+//!
+//! * BSP: on a homogeneous shape the slowest worker is the type's core
+//!   itself and the service bandwidth depends on `n_ps` only, so each
+//!   candidate runs `predict_time`'s operations on the same operands.
+//! * Bottleneck-aware ASP: the think-time sum over `n` workers is a fold,
+//!   so one running sum gives every candidate's sum, and the exact MVA
+//!   runs 8 recurrences side by side, one lane per worker count. Each
+//!   lane does the serial recurrence's IEEE operations in its order and
+//!   is read at its own customer count; the CPU overlaps the lanes'
+//!   division chains.
+//! * The ablated ASP form (`bottleneck_aware = false`) keeps the default.
 
 use crate::profiler::ProfileData;
 use cynthia_cloud::instance::InstanceType;
@@ -54,10 +75,11 @@ impl ClusterShape {
     /// A homogeneous shape of `n` workers and `n_ps` PS nodes of one type.
     pub fn homogeneous(ty: &InstanceType, n: u32, n_ps: u32) -> Self {
         assert!(n > 0 && n_ps > 0, "degenerate shape");
+        let (ps_total_gflops, ps_total_bw) = ps_supply(ty, n_ps);
         ClusterShape {
             worker_gflops: vec![ty.core_gflops; n as usize],
-            ps_total_gflops: ty.node_gflops * n_ps as f64,
-            ps_total_bw: ty.nic_mbps * n_ps as f64,
+            ps_total_gflops,
+            ps_total_bw,
             n_ps,
         }
     }
@@ -100,6 +122,60 @@ pub trait PerfModel {
     /// Predicted wall-clock time to complete `total_updates` global
     /// updates.
     fn predict_time(&self, shape: &ClusterShape, total_updates: u64) -> f64;
+
+    /// Predicted times of one Alg. 1 band: homogeneous clusters of `ty`
+    /// with `n_ps` PS nodes and `first_n`, `first_n + 1`, … workers.
+    /// `times[i]` is, bit for bit,
+    /// `predict_time(&ClusterShape::homogeneous(ty, first_n + i, n_ps),
+    /// total_updates[i])`; the default makes those calls, on an equal
+    /// shape.
+    fn predict_band(
+        &self,
+        ty: &InstanceType,
+        n_ps: u32,
+        first_n: u32,
+        total_updates: &[u64],
+        times: &mut [f64],
+    ) {
+        predict_each(self, ty, n_ps, first_n, total_updates, times);
+    }
+}
+
+/// [`PerfModel::predict_band`] one `predict_time` call per candidate.
+/// The shape of `n + 1` workers is the shape of `n` plus one worker, so
+/// one shape grows across the band instead of one being built per
+/// candidate.
+fn predict_each<M: PerfModel + ?Sized>(
+    model: &M,
+    ty: &InstanceType,
+    n_ps: u32,
+    first_n: u32,
+    total_updates: &[u64],
+    times: &mut [f64],
+) {
+    assert_eq!(total_updates.len(), times.len(), "one time per candidate");
+    if total_updates.is_empty() {
+        return;
+    }
+    assert!(first_n > 0 && n_ps > 0, "degenerate shape");
+    let mut worker_gflops = Vec::with_capacity(first_n as usize + total_updates.len());
+    worker_gflops.resize(first_n as usize, ty.core_gflops);
+    let (ps_total_gflops, ps_total_bw) = ps_supply(ty, n_ps);
+    let mut shape = ClusterShape {
+        worker_gflops,
+        ps_total_gflops,
+        ps_total_bw,
+        n_ps,
+    };
+    for (&updates, time) in total_updates.iter().zip(times) {
+        *time = model.predict_time(&shape, updates);
+        shape.worker_gflops.push(ty.core_gflops);
+    }
+}
+
+/// The PS tier's aggregate `(Σ c_ps, Σ b_ps)` for `n_ps` nodes of `ty`.
+fn ps_supply(ty: &InstanceType, n_ps: u32) -> (f64, f64) {
+    (ty.node_gflops * n_ps as f64, ty.nic_mbps * n_ps as f64)
 }
 
 /// The Cynthia performance model.
@@ -128,16 +204,21 @@ impl CynthiaModel {
     /// The PS tier's effective service bandwidth for parameter traffic,
     /// MB/s (see module docs).
     pub fn service_bandwidth(&self, shape: &ClusterShape) -> f64 {
+        self.service_bw(shape.ps_total_gflops, shape.ps_total_bw)
+    }
+
+    /// [`CynthiaModel::service_bandwidth`] from the PS tier's aggregates.
+    fn service_bw(&self, ps_total_gflops: f64, ps_total_bw: f64) -> f64 {
         if self.bottleneck_aware {
             let kappa = self.profile.kappa();
             let ingest = if kappa > 0.0 {
-                shape.ps_total_gflops / kappa
+                ps_total_gflops / kappa
             } else {
                 f64::INFINITY
             };
-            shape.ps_total_bw.min(ingest)
+            ps_total_bw.min(ingest)
         } else {
-            shape.ps_total_bw
+            ps_total_bw
         }
     }
 
@@ -146,8 +227,27 @@ impl CynthiaModel {
     pub fn t_comp(&self, shape: &ClusterShape) -> f64 {
         let w = self.profile.w_iter_gflops;
         match self.profile.sync {
-            SyncMode::Bsp => w / (shape.n_workers() as f64 * shape.min_worker_gflops()),
+            SyncMode::Bsp => self.bsp_comp(shape.n_workers() as f64, shape.min_worker_gflops()),
             SyncMode::Asp => w / shape.min_worker_gflops(),
+        }
+    }
+
+    /// BSP's Eq. (4) for `n` workers paced by one of `min_c` GFLOPS.
+    fn bsp_comp(&self, n: f64, min_c: f64) -> f64 {
+        self.profile.w_iter_gflops / (n * min_c)
+    }
+
+    /// BSP's Eq. (5) for `n` workers and service bandwidth `bw`.
+    fn bsp_comm(&self, n: f64, bw: f64) -> f64 {
+        2.0 * self.profile.g_param_mb * n / bw
+    }
+
+    /// BSP's Eq. (3) from its two terms.
+    fn bsp_iter(&self, comp: f64, comm: f64) -> f64 {
+        if self.overlap {
+            comp.max(comm)
+        } else {
+            comp + comm
         }
     }
 
@@ -156,7 +256,7 @@ impl CynthiaModel {
         let g2 = 2.0 * self.profile.g_param_mb;
         let bw = self.service_bandwidth(shape);
         match self.profile.sync {
-            SyncMode::Bsp => g2 * shape.n_workers() as f64 / bw,
+            SyncMode::Bsp => self.bsp_comm(shape.n_workers() as f64, bw),
             SyncMode::Asp => {
                 if self.bottleneck_aware {
                     // Serial per-update path: transfer on the NIC, then
@@ -176,13 +276,7 @@ impl CynthiaModel {
         let comp = self.t_comp(shape);
         let comm = self.t_comm(shape);
         match self.profile.sync {
-            SyncMode::Bsp => {
-                if self.overlap {
-                    comp.max(comm)
-                } else {
-                    comp + comm
-                }
-            }
+            SyncMode::Bsp => self.bsp_iter(comp, comm),
             SyncMode::Asp => comp + comm,
         }
     }
@@ -260,41 +354,129 @@ impl CynthiaModel {
     /// throughput `Σ 1/Z_j`.
     pub fn asp_throughput(&self, shape: &ClusterShape) -> f64 {
         let n = shape.n_workers();
-        let g2 = 2.0 * self.profile.g_param_mb;
         let inv_z_sum: f64 = shape
             .worker_gflops
             .iter()
             .map(|c| c / self.profile.w_iter_gflops)
             .sum();
         let z_mean = n as f64 / inv_z_sum;
-        let demands = [
-            g2 / shape.ps_total_bw,
-            g2 * self.profile.kappa() / shape.ps_total_gflops,
-        ];
-        mva_throughput(z_mean, n, &demands)
+        let demands = self.asp_demands(shape.ps_total_gflops, shape.ps_total_bw);
+        mva::<1>(n, 1, [z_mean], demands)[0]
+    }
+
+    /// The MVA's per-update service demands `[2·g/Σb, 2·g·κ/Σc]` at the PS
+    /// NIC and the PS CPU.
+    fn asp_demands(&self, ps_total_gflops: f64, ps_total_bw: f64) -> [f64; 2] {
+        let g2 = 2.0 * self.profile.g_param_mb;
+        [
+            g2 / ps_total_bw,
+            g2 * self.profile.kappa() / ps_total_gflops,
+        ]
+    }
+
+    /// BSP's [`PerfModel::predict_band`]. On a homogeneous shape the
+    /// slowest worker is `c` itself (`min_worker_gflops` folds `min` from
+    /// +∞ over copies of `c`, which is `∞.min(c)`), and the service
+    /// bandwidth depends on `n_ps` only, so each candidate runs
+    /// `predict_time`'s operations on the same operands.
+    fn bsp_band(
+        &self,
+        ty: &InstanceType,
+        n_ps: u32,
+        first_n: u32,
+        updates: &[u64],
+        times: &mut [f64],
+    ) {
+        let (ps_gflops, ps_bw) = ps_supply(ty, n_ps);
+        let bw = self.service_bw(ps_gflops, ps_bw);
+        let min_c = f64::INFINITY.min(ty.core_gflops);
+        for ((&u, time), n) in updates.iter().zip(times).zip(first_n..) {
+            let n = n as f64;
+            *time = u as f64 * self.bsp_iter(self.bsp_comp(n, min_c), self.bsp_comm(n, bw));
+        }
+    }
+
+    /// Bottleneck-aware ASP's [`PerfModel::predict_band`], [`MVA_LANES`]
+    /// candidates per [`mva`] pass. `asp_throughput` sums `c/w` over the
+    /// workers, a fold from −0.0, so the sum for `n` workers is the sum
+    /// for `n − 1` plus one addition: one running sum over the band gives
+    /// every candidate's think time `n / Σ` bit for bit. The demands
+    /// depend on `n_ps` only.
+    fn asp_band(
+        &self,
+        ty: &InstanceType,
+        n_ps: u32,
+        first_n: u32,
+        updates: &[u64],
+        times: &mut [f64],
+    ) {
+        if updates.is_empty() {
+            return;
+        }
+        let (ps_gflops, ps_bw) = ps_supply(ty, n_ps);
+        let demands = self.asp_demands(ps_gflops, ps_bw);
+        let inv_z = ty.core_gflops / self.profile.w_iter_gflops;
+        let mut inv_z_sum = -0.0;
+        for _ in 1..first_n {
+            inv_z_sum += inv_z;
+        }
+        let mut n0 = first_n;
+        for (updates, times) in updates.chunks(MVA_LANES).zip(times.chunks_mut(MVA_LANES)) {
+            let mut z = [0.0; MVA_LANES];
+            for (z_n, n) in z[..updates.len()].iter_mut().zip(n0..) {
+                inv_z_sum += inv_z;
+                *z_n = n as f64 / inv_z_sum;
+            }
+            // Unread lanes repeat the last think time, a harmless operand.
+            let last = z[updates.len() - 1];
+            z[updates.len()..].fill(last);
+            let x = mva(n0, updates.len(), z, demands);
+            for ((time, &u), x) in times.iter_mut().zip(updates).zip(x) {
+                *time = u as f64 / x;
+            }
+            n0 += MVA_LANES as u32;
+        }
     }
 }
 
-/// Exact single-class MVA: `n` customers, one delay station with think
-/// time `z`, and queueing stations with the given service demands.
-/// Returns the steady-state throughput.
-fn mva_throughput(z: f64, n: u32, demands: &[f64]) -> f64 {
-    assert!(n >= 1, "MVA needs at least one customer");
-    let mut queue = vec![0.0f64; demands.len()];
-    let mut x = 0.0;
-    for k in 1..=n {
-        let residence: Vec<f64> = demands
-            .iter()
-            .zip(&queue)
-            .map(|(d, q)| d * (1.0 + q))
-            .collect();
-        let total: f64 = residence.iter().sum();
-        x = k as f64 / (z + total);
-        for (q, r) in queue.iter_mut().zip(&residence) {
-            *q = x * r;
+/// Candidates one ASP band pass solves side by side.
+const MVA_LANES: usize = 8;
+
+/// Exact single-class MVA of `L` closed networks side by side, each with
+/// one delay station and the queueing stations of `demands`. Lane `j`
+/// has think time `z[j]` and `n0 + j` customers, so it is read at
+/// customer step `k = n0 + j`; lanes at and past `used` are not read, and
+/// the pass stops at the last one read. Every lane runs the serial
+/// recurrence's IEEE operations in its order:
+///
+/// `r_i = d_i·(1 + q_i)`, `x = k / (z + (r_0 + r_1))`, `q_i = x·r_i`,
+///
+/// so `x[j]` is the steady-state throughput of `n0 + j` customers bit for
+/// bit (the serial sum's −0.0 start adds nothing). Independent lanes let
+/// the CPU overlap their division chains.
+fn mva<const L: usize>(n0: u32, used: usize, z: [f64; L], demands: [f64; 2]) -> [f64; L] {
+    assert!(n0 >= 1, "MVA needs at least one customer");
+    assert!(used <= L, "more lanes read than run");
+    let [d0, d1] = demands;
+    let mut q0 = [0.0f64; L];
+    let mut q1 = [0.0f64; L];
+    let mut x = [0.0f64; L];
+    let mut out = [0.0f64; L];
+    for k in 1..n0 + used as u32 {
+        let kf = k as f64;
+        for j in 0..L {
+            let r0 = d0 * (1.0 + q0[j]);
+            let r1 = d1 * (1.0 + q1[j]);
+            x[j] = kf / (z[j] + (r0 + r1));
+            q0[j] = x[j] * r0;
+            q1[j] = x[j] * r1;
+        }
+        if k >= n0 {
+            let j = (k - n0) as usize;
+            out[j] = x[j];
         }
     }
-    x
+    out
 }
 
 impl PerfModel for CynthiaModel {
@@ -339,14 +521,208 @@ impl PerfModel for CynthiaModel {
             }
         }
     }
+
+    fn predict_band(
+        &self,
+        ty: &InstanceType,
+        n_ps: u32,
+        first_n: u32,
+        total_updates: &[u64],
+        times: &mut [f64],
+    ) {
+        assert!(first_n > 0 && n_ps > 0, "degenerate shape");
+        assert_eq!(total_updates.len(), times.len(), "one time per candidate");
+        match self.profile.sync {
+            SyncMode::Bsp => self.bsp_band(ty, n_ps, first_n, total_updates, times),
+            SyncMode::Asp if self.bottleneck_aware => {
+                self.asp_band(ty, n_ps, first_n, total_updates, times)
+            }
+            SyncMode::Asp => predict_each(self, ty, n_ps, first_n, total_updates, times),
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::profiler::profile_workload;
     use cynthia_cloud::default_catalog;
     use cynthia_models::Workload;
+    use proptest::prelude::*;
+
+    /// The four Table 1 workloads and their m4.xlarge profiles (seed 5),
+    /// built once.
+    pub(crate) fn table1_profiles() -> &'static [(Workload, ProfileData)] {
+        static PROFILES: std::sync::OnceLock<Vec<(Workload, ProfileData)>> =
+            std::sync::OnceLock::new();
+        PROFILES.get_or_init(|| {
+            let cat = default_catalog();
+            [
+                Workload::mnist_bsp(),
+                Workload::cifar10_bsp(),
+                Workload::resnet32_asp(),
+                Workload::vgg19_asp(),
+            ]
+            .into_iter()
+            .map(|w| {
+                let p = profile_workload(&w, cat.expect("m4.xlarge"), 5);
+                (w, p)
+            })
+            .collect()
+        })
+    }
+
+    /// Exact single-class MVA, one customer step at a time: the serial
+    /// recurrence [`mva`] runs in lanes, kept as its oracle.
+    fn mva_throughput(z: f64, n: u32, demands: &[f64]) -> f64 {
+        assert!(n >= 1, "MVA needs at least one customer");
+        let mut queue = vec![0.0f64; demands.len()];
+        let mut x = 0.0;
+        for k in 1..=n {
+            let residence: Vec<f64> = demands
+                .iter()
+                .zip(&queue)
+                .map(|(d, q)| d * (1.0 + q))
+                .collect();
+            let total: f64 = residence.iter().sum();
+            x = k as f64 / (z + total);
+            for (q, r) in queue.iter_mut().zip(&residence) {
+                *q = x * r;
+            }
+        }
+        x
+    }
+
+    /// Runs `lo..=hi` through `mva::<L>` in passes of `L` lanes, each
+    /// lane with its own think time, and checks every lane against the
+    /// serial oracle.
+    fn lanes_match_serial<const L: usize>(
+        lo: u32,
+        hi: u32,
+        z: &[f64],
+        demands: [f64; 2],
+    ) -> Result<(), TestCaseError> {
+        let mut n0 = lo;
+        while n0 <= hi {
+            let used = ((hi - n0 + 1) as usize).min(L);
+            let mut zs = [1.0; L];
+            for (j, zj) in zs[..used].iter_mut().enumerate() {
+                *zj = z[(n0 as usize + j) % z.len()];
+            }
+            let x = mva::<L>(n0, used, zs, demands);
+            for (j, (&x, &z)) in x.iter().zip(&zs).take(used).enumerate() {
+                let n = n0 + j as u32;
+                let want = mva_throughput(z, n, &demands);
+                prop_assert_eq!(x.to_bits(), want.to_bits(), "L = {}, n = {}", L, n);
+            }
+            n0 += L as u32;
+        }
+        Ok(())
+    }
+
+    /// `predict_band` against one `predict_time` per candidate.
+    fn band_matches_predict_time(
+        model: &CynthiaModel,
+        ty: &InstanceType,
+        n_ps: u32,
+        first_n: u32,
+        updates: &[u64],
+    ) -> Result<(), TestCaseError> {
+        let mut times = vec![f64::NAN; updates.len()];
+        model.predict_band(ty, n_ps, first_n, updates, &mut times);
+        for ((&time, &u), n) in times.iter().zip(updates).zip(first_n..) {
+            let want = model.predict_time(&ClusterShape::homogeneous(ty, n, n_ps), u);
+            prop_assert_eq!(time.to_bits(), want.to_bits(), "n = {}", n);
+        }
+        Ok(())
+    }
+
+    fn mva_case(lo: u32, len: u32, z: &[f64], d0: f64, d1: f64) -> Result<(), TestCaseError> {
+        let hi = (lo + len).min(200);
+        lanes_match_serial::<1>(lo, hi, z, [d0, d1])?;
+        lanes_match_serial::<4>(lo, hi, z, [d0, d1])?;
+        lanes_match_serial::<MVA_LANES>(lo, hi, z, [d0, d1])?;
+        lanes_match_serial::<16>(lo, hi, z, [d0, d1])
+    }
+
+    /// A random band of a Table 1 profile, scaled, under one ablation:
+    /// `(workload, w_iter and g_param factors, ablation, catalog type,
+    /// n_ps, first_n, updates)`.
+    type BandCase = (usize, f64, f64, u8, usize, u32, u32, Vec<u64>);
+
+    fn band_cases() -> impl Strategy<Value = BandCase> {
+        (
+            (0usize..4, 0.25f64..4.0, 0.25f64..4.0, 0u8..3),
+            (0usize..6, 1u32..5, 1u32..150),
+            prop::collection::vec(1u64..1 << 40, 0..60),
+        )
+            .prop_map(|((wl, w, g, ab), (ty, n_ps, first_n), updates)| {
+                (wl, w, g, ab, ty, n_ps, first_n, updates)
+            })
+    }
+
+    fn band_case(
+        (workload, w_scale, g_scale, ablation, ty, n_ps, first_n, updates): BandCase,
+    ) -> Result<(), TestCaseError> {
+        let mut profile = table1_profiles()[workload].1.clone();
+        profile.w_iter_gflops *= w_scale;
+        profile.g_param_mb *= g_scale;
+        let model = CynthiaModel {
+            profile,
+            overlap: ablation != 1,
+            bottleneck_aware: ablation != 2,
+        };
+        let cat = default_catalog();
+        band_matches_predict_time(&model, &cat.types()[ty], n_ps, first_n, &updates)
+    }
+
+    fn think_times() -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(1e-3f64..1e3, 1..16)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn mva_lanes_match_the_serial_recurrence(
+            lo in 1u32..200,
+            len in 0u32..200,
+            z in think_times(),
+            d0 in 1e-4f64..10.0,
+            d1 in 0.0f64..10.0,
+        ) {
+            mva_case(lo, len, &z, d0, d1)?;
+        }
+
+        #[test]
+        fn band_matches_predict_time_bit_for_bit(case in band_cases()) {
+            band_case(case)?;
+        }
+    }
+
+    // The same properties over 4,000 cases each, drawn from their own
+    // seeds. Run with `cargo test --release -p cynthia-core -- --include-ignored`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        #[ignore = "4,000 cases; run with --include-ignored"]
+        fn mva_lanes_match_the_serial_recurrence_4000(
+            lo in 1u32..200,
+            len in 0u32..200,
+            z in think_times(),
+            d0 in 1e-4f64..10.0,
+            d1 in 0.0f64..10.0,
+        ) {
+            mva_case(lo, len, &z, d0, d1)?;
+        }
+
+        #[test]
+        #[ignore = "4,000 cases; run with --include-ignored"]
+        fn band_matches_predict_time_bit_for_bit_4000(case in band_cases()) {
+            band_case(case)?;
+        }
+    }
 
     fn m4_profile(w: &Workload) -> ProfileData {
         let cat = default_catalog();

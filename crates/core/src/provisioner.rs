@@ -14,6 +14,19 @@
 //! aims for: the prototype must *meet* goals despite a few percent of
 //! run-to-run variance (the paper "basically meets" its goals; we prefer
 //! to clear them).
+//!
+//! ## The band pass
+//!
+//! For each `(instance type, n_ps)` band, [`plan_with_model`] computes
+//! every candidate's Eq. 15/20 iteration budget, asks the model for the
+//! whole band's predicted times in one [`PerfModel::predict_band`] call,
+//! and then runs Alg. 1's selection over the results: ascending `n`, a
+//! strict `<` on cost, and the `first_feasible` and minimum-PS breaks.
+//! `predict_band` returns each candidate's `predict_time` bit for bit, so
+//! the plan and `candidates_evaluated` are exactly those of a scan that
+//! predicts one candidate at a time, which this module's tests keep as an
+//! oracle. The buffers live for one `plan` call. An ASP budget whose
+//! global updates `s · n` overflow `u64` makes its candidate infeasible.
 
 use crate::loss_model::FittedLossModel;
 use crate::perf_model::{ClusterShape, CynthiaModel, PerfModel};
@@ -227,82 +240,26 @@ pub fn worker_bounds(
     }
 }
 
-/// One evaluated `(n_workers, n_ps)` point of the Alg. 1 band search.
-#[derive(Debug, Clone, Copy)]
-struct CandidateEval {
-    n: u32,
-    n_ps: u32,
-    /// Eq. 15/20 iteration budget, and the implied global updates.
-    s: u64,
-    total_updates: u64,
-    /// Sec. 3 model's predicted runtime, seconds.
-    time: f64,
-    /// Eq. (8) cost; only meaningful when `feasible`.
-    cost: f64,
-    /// Eq. (9): predicted runtime clears the (headroom-adjusted) deadline.
-    feasible: bool,
-}
-
-/// Evaluates one candidate point. Returns `None` when the loss target is
-/// unreachable (which `worker_bounds` already screens).
-fn evaluate_candidate(
-    model: &dyn PerfModel,
+/// Eq. 15/20: the iteration budget `s` for `n` workers and the global
+/// updates it implies (`s` for BSP, `s · n` for ASP). `None` when the
+/// loss target is unreachable (which `worker_bounds` already screens).
+/// An ASP budget whose `s · n` overflows `u64` has no updates: that
+/// candidate is infeasible.
+fn budget(
     profile: &ProfileData,
     loss: &FittedLossModel,
-    ty: &InstanceType,
-    effective: &Goal,
+    target_loss: f64,
     n: u32,
-    n_ps: u32,
-) -> Option<CandidateEval> {
-    // Iterations to reach the loss target (Eq. 15 / Eq. 20).
-    let (s, total_updates) = match profile.sync {
+) -> Option<(u64, Option<u64>)> {
+    match profile.sync {
         SyncMode::Bsp => {
-            let s = loss.bsp_iterations_for(effective.target_loss)?;
-            (s, s)
+            let s = loss.bsp_iterations_for(target_loss)?;
+            Some((s, Some(s)))
         }
         SyncMode::Asp => {
-            let s = loss.asp_iterations_per_worker(effective.target_loss, n)?;
-            (s, s * n as u64)
+            let s = loss.asp_iterations_per_worker(target_loss, n)?;
+            Some((s, s.checked_mul(n as u64)))
         }
-    };
-    let shape = ClusterShape::homogeneous(ty, n, n_ps);
-    let time = model.predict_time(&shape, total_updates);
-    let feasible = time < effective.deadline_secs;
-    let cost = if feasible {
-        cynthia_cloud::billing::static_cluster_cost(
-            ty.price_per_hour,
-            n,
-            ty.price_per_hour,
-            n_ps,
-            time,
-        )
-    } else {
-        f64::INFINITY
-    };
-    Some(CandidateEval {
-        n,
-        n_ps,
-        s,
-        total_updates,
-        time,
-        cost,
-        feasible,
-    })
-}
-
-/// Materializes the chosen candidate as a [`Plan`].
-fn plan_from(model: &dyn PerfModel, ty: &InstanceType, c: &CandidateEval) -> Plan {
-    let shape = ClusterShape::homogeneous(ty, c.n, c.n_ps);
-    Plan {
-        type_name: ty.name.clone(),
-        n_workers: c.n,
-        n_ps: c.n_ps,
-        iterations: c.s,
-        total_updates: c.total_updates,
-        predicted_iter_time: model.iter_time(&shape),
-        predicted_time: c.time,
-        predicted_cost: c.cost,
-        candidates_evaluated: 0,
     }
 }
 
@@ -360,7 +317,9 @@ fn check_goal(
 ///
 /// The scan is serial: instance types in catalog order, worker counts
 /// ascending, and a candidate replaces the running best only when it is
-/// strictly cheaper, so the first cheapest point wins ties.
+/// strictly cheaper, so the first cheapest point wins ties. Each band's
+/// times come from one [`PerfModel::predict_band`] call (see the module
+/// docs).
 pub fn plan_with_model(
     model: &dyn PerfModel,
     profile: &ProfileData,
@@ -377,6 +336,10 @@ pub fn plan_with_model(
     };
     let mut best: Option<Plan> = None;
     let mut evaluated = 0u32;
+    // One band's global updates and predicted times, reused by every band
+    // of the call. Every real budget is at least one update, so 0 updates
+    // marks a budget that overflowed.
+    let (mut updates, mut times) = (Vec::new(), Vec::new());
 
     for ty in catalog.types() {
         let bounds = match worker_bounds(profile, loss, ty, &effective) {
@@ -390,25 +353,64 @@ pub fn plan_with_model(
             if found_for_type {
                 break; // prefer the minimum PS count (Sec. 5.1).
             }
-            let n_ps = bounds.n_ps + extra_ps;
+            // A PS count past `u32::MAX` comes from a band far beyond any
+            // worker cap: there is nothing left to escalate to.
+            let Some(n_ps) = bounds.n_ps.checked_add(extra_ps) else {
+                break;
+            };
             let (lo, hi) = if options.use_bounds {
                 (bounds.n_lower, bounds.upper_for(n_ps))
             } else {
                 (1, options.max_workers)
             };
-            for n in lo..=hi.min(options.max_workers) {
+            let band = lo..=hi.min(options.max_workers);
+            updates.clear();
+            updates.reserve((*band.end() as usize + 1).saturating_sub(lo as usize));
+            for n in band.clone() {
+                let (_, total) = budget(profile, loss, effective.target_loss, n)?;
+                updates.push(total.unwrap_or(0));
+            }
+            times.clear();
+            times.resize(updates.len(), 0.0);
+            model.predict_band(ty, n_ps, lo, &updates, &mut times);
+            for ((n, &total_updates), &time) in band.zip(&updates).zip(&times) {
                 evaluated += 1;
-                let c = evaluate_candidate(model, profile, loss, ty, &effective, n, n_ps)?;
-                if !c.feasible {
+                let time = if total_updates == 0 {
+                    f64::INFINITY
+                } else {
+                    time
+                };
+                // Eq. (9): the predicted runtime clears the deadline.
+                let feasible = time < effective.deadline_secs;
+                if !feasible {
                     continue;
                 }
                 found_for_type = true;
+                // Eq. (8).
+                let cost = cynthia_cloud::billing::static_cluster_cost(
+                    ty.price_per_hour,
+                    n,
+                    ty.price_per_hour,
+                    n_ps,
+                    time,
+                );
                 let better = best
                     .as_ref()
-                    .map(|b| c.cost < b.predicted_cost)
+                    .map(|b| cost < b.predicted_cost)
                     .unwrap_or(true);
                 if better {
-                    best = Some(plan_from(model, ty, &c));
+                    best = Some(Plan {
+                        type_name: ty.name.clone(),
+                        n_workers: n,
+                        n_ps,
+                        iterations: budget(profile, loss, effective.target_loss, n)?.0,
+                        total_updates,
+                        predicted_iter_time: model
+                            .iter_time(&ClusterShape::homogeneous(ty, n, n_ps)),
+                        predicted_time: time,
+                        predicted_cost: cost,
+                        candidates_evaluated: 0,
+                    });
                 }
                 if options.first_feasible {
                     break; // Alg. 1 line 11: smallest feasible n per type.
@@ -422,6 +424,9 @@ pub fn plan_with_model(
         p
     })
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -860,12 +860,26 @@ impl FluidSystem {
     ///
     /// If `dt` is negative, NaN or infinite.
     pub fn advance(&mut self, dt: Time) -> Vec<(FlowId, u64)> {
+        let mut done = Vec::new();
+        self.advance_into(dt, &mut done);
+        done
+    }
+
+    /// [`FluidSystem::advance`] into a caller's buffer: clears `done`,
+    /// then fills it with the completed flows in slot order. A driving
+    /// loop that keeps one buffer for the whole run allocates nothing per
+    /// event once the buffer has grown.
+    ///
+    /// # Panics
+    ///
+    /// If `dt` is negative, NaN or infinite.
+    pub fn advance_into(&mut self, dt: Time, done: &mut Vec<(FlowId, u64)>) {
         assert!(
             dt >= 0.0 && dt.is_finite(),
             "advance needs a finite, non-negative dt, got {dt}"
         );
+        done.clear();
         self.ensure_rates();
-        let mut done = Vec::new();
         for &c in &self.live {
             let class = &mut self.classes[c as usize];
             let d = class.rate * dt;
@@ -887,14 +901,13 @@ impl FluidSystem {
             }
         }
         done.sort_unstable_by_key(|(id, _)| id.idx);
-        for (id, _) in &done {
+        for (id, _) in done.iter() {
             self.release(id.idx);
         }
         // The volumes moved, so the completion search is stale: the next
         // query re-solves, and equal loads and capacities give equal rates.
         self.dirty = true;
         crate::obs::flows_finished(done.len());
-        done
     }
 }
 

@@ -47,7 +47,7 @@ use crate::trace::{Activity, TraceRecorder};
 use cynthia_faults::{FaultEvent, FaultKind, FaultPlan, LinkTarget, RecoveryPolicy};
 use cynthia_models::{SyncMode, Workload};
 use cynthia_sim::events::EventQueue;
-use cynthia_sim::fluid::{FluidSystem, LinkSet, ResourceId};
+use cynthia_sim::fluid::{FlowId, FluidSystem, LinkSet, ResourceId};
 use cynthia_sim::hash::KeyMap;
 use cynthia_sim::metrics::{Stats, ThroughputRecorder};
 use cynthia_sim::rng::Jitter;
@@ -306,6 +306,8 @@ struct Engine<'a> {
 
     queue: EventQueue<Ev>,
     fluid: FluidSystem,
+    /// The flows the last fluid advance completed: one buffer for the run.
+    done: Vec<(FlowId, u64)>,
     wk_nic: Vec<ResourceId>,
     ps_nic: Vec<ResourceId>,
     ps_cpu: Vec<ResourceId>,
@@ -510,6 +512,7 @@ impl<'a> Engine<'a> {
             chunk_latest: vec![0; l],
             queue: EventQueue::new(),
             fluid,
+            done: Vec::new(),
             wk_nic,
             ps_nic,
             ps_cpu,
@@ -690,22 +693,16 @@ impl<'a> Engine<'a> {
                     };
                     if fluid_first {
                         let dt = fc.unwrap().1;
-                        self.step_fluid(dt);
+                        self.advance_fluid(dt, now + dt);
                     } else {
-                        let dt = tq - now;
-                        self.accrue(dt);
-                        let done = self.fluid.advance(dt);
-                        self.queue.advance_to(tq);
-                        for (_, t) in done {
-                            self.on_flow_done(t);
-                        }
+                        self.advance_fluid(tq - now, tq);
                         if let Some((_, ev)) = self.queue.pop() {
                             self.on_event(ev);
                         }
                     }
                 }
                 (None, Some((_, dt))) => {
-                    self.step_fluid(dt);
+                    self.advance_fluid(dt, now + dt);
                 }
             }
         }
@@ -722,14 +719,17 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn step_fluid(&mut self, dt: f64) {
+    /// Drains the fluid for `dt`, moves the clock to `to` and handles the
+    /// flows that completed.
+    fn advance_fluid(&mut self, dt: f64, to: f64) {
         self.accrue(dt);
-        let now = self.queue.now();
-        let done = self.fluid.advance(dt);
-        self.queue.advance_to(now + dt);
-        for (_, t) in done {
+        let mut done = std::mem::take(&mut self.done);
+        self.fluid.advance_into(dt, &mut done);
+        self.queue.advance_to(to);
+        for &(_, t) in &done {
             self.on_flow_done(t);
         }
+        self.done = done;
     }
 
     /// Integrates resource metrics and communication-union accounting over
