@@ -8,13 +8,15 @@
 //!    schedules for the planning horizon;
 //! 2. a *predictive* event loop walks those reclaims against the Sec. 3
 //!    performance model, consulting the [`Replanner`] at each one to pick
-//!    a [`RepairAction`] and emitting the resulting [`Disruption`]
-//!    schedule (revocations with or without rejoin) plus the lease
-//!    segments each decision implies;
-//! 3. the ground-truth engine ([`simulate_disrupted`]) replays that
-//!    schedule in full detail, and a [`BillingMeter`] prices the lease
-//!    segments — spot leases at the traced, repriced spot rate — against
-//!    the realized runtime.
+//!    a [`RepairAction`] and emitting the resulting [`FaultPlan`] (a
+//!    replaced reclaim is a transient [`FaultKind::WorkerCrash`] lasting
+//!    until the replacement joins, a shrink a permanent
+//!    [`FaultKind::WorkerDeparture`]) plus the lease segments each
+//!    decision implies;
+//! 3. the ground-truth engine ([`simulate_faulted`] under
+//!    [`RecoveryPolicy::none`]) replays that plan in full detail, and a
+//!    [`BillingMeter`] prices the lease segments — spot leases at the
+//!    traced, repriced spot rate — against the realized runtime.
 //!
 //! The predictive loop uses the *model's* notion of progress to decide
 //! when the job is over (further reclaims can no longer matter); the
@@ -27,7 +29,10 @@ use cynthia_cloud::{BillingMeter, Catalog, SpotMarket, SpotMarketConfig};
 use cynthia_core::provisioner::{plan, Goal, Plan, PlannerOptions};
 use cynthia_core::{profile_workload, FittedLossModel};
 use cynthia_models::{SyncMode, Workload};
-use cynthia_train::{simulate, simulate_disrupted, ClusterSpec, Disruption, SimConfig, TrainJob};
+use cynthia_train::{
+    simulate, simulate_faulted, ClusterSpec, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy,
+    SimConfig, TrainJob,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::policy::{Backing, RepairAction, RepairPolicy};
@@ -263,7 +268,7 @@ pub fn run_elastic(
     };
     let mut t = 0.0_f64;
     let mut done = 0.0_f64;
-    let mut disruptions: Vec<Disruption> = Vec::new();
+    let mut faults: Vec<FaultEvent> = Vec::new();
     let mut timeline: Vec<TimelineEvent> = Vec::new();
     let mut guard = 0u32;
     loop {
@@ -349,11 +354,10 @@ pub fn run_elastic(
                 match decision.action {
                     RepairAction::Shrink => {
                         slots[j].departed = true;
-                        disruptions.push(Disruption {
-                            worker: j,
-                            at: t,
-                            rejoin_at: None,
-                        });
+                        faults.push(FaultEvent::permanent(
+                            FaultKind::WorkerDeparture { worker: j },
+                            t,
+                        ));
                         timeline.push(TimelineEvent {
                             t,
                             slot: j,
@@ -374,11 +378,11 @@ pub fn run_elastic(
                         slots[j].backing = backing;
                         slots[j].leases.push((lease_start, None, backing));
                         slots[j].absent_until = Some(rejoin_at);
-                        disruptions.push(Disruption {
-                            worker: j,
-                            at: t,
-                            rejoin_at: Some(rejoin_at),
-                        });
+                        faults.push(FaultEvent::transient(
+                            FaultKind::WorkerCrash { worker: j },
+                            t,
+                            rejoin_at - t,
+                        ));
                         timeline.push(TimelineEvent {
                             t,
                             slot: j,
@@ -394,15 +398,18 @@ pub fn run_elastic(
         }
     }
 
-    // Ground truth: the engine replays the disruption schedule in full
-    // detail (jitter, barrier stalls, parameter re-pulls on rejoin).
-    let training = simulate_disrupted(
+    // Ground truth: the engine replays the fault plan in full detail
+    // (jitter, barrier stalls, parameter re-pulls on rejoin). A
+    // replacement's outage is `rejoin_at - t`, not `repair_latency`: the
+    // two differ in rounding, and the engine's timing with them.
+    let training = simulate_faulted(
         &TrainJob {
             workload: &configured,
             cluster,
             config: sim,
         },
-        &disruptions,
+        &FaultPlan::new(faults),
+        &RecoveryPolicy::none(),
     );
     let t_end = training.total_time;
 

@@ -19,9 +19,10 @@
 //!   bandwidth across the surviving servers.
 //!
 //! The simulator entry point is `cynthia_train::simulate_faulted(job, plan,
-//! policy)`; `simulate_disrupted` is a thin wrapper over it (worker crashes
-//! with environment-supplied outage durations, no recovery policy). See
-//! `docs/FAULTS.md` for the full semantics.
+//! policy)`. Spot revocations are worker crashes with environment-supplied
+//! outage durations under [`RecoveryPolicy::none`]; a plain run is the
+//! empty plan under that policy. See `docs/FAULTS.md` for the full
+//! semantics.
 
 #![warn(missing_docs)]
 

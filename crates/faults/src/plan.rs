@@ -31,8 +31,8 @@ pub enum FaultKind {
         /// Worker slot hit by the crash.
         worker: usize,
     },
-    /// Worker `worker` leaves permanently (environment-mandated shrink,
-    /// the old `Disruption { rejoin_at: None }`). No recovery applies.
+    /// Worker `worker` leaves permanently (an environment-mandated shrink,
+    /// e.g. an unreplaced spot reclaim). No recovery applies.
     WorkerDeparture {
         /// Worker slot removed from the fleet.
         worker: usize,

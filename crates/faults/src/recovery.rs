@@ -63,10 +63,10 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// The no-recovery policy `simulate_disrupted` runs under: zero retry
-    /// budget (an unreplaced crash shrinks the fleet immediately) and no
-    /// PS failover. Checkpoint interval 1 keeps PS crashes — which that
-    /// API cannot express anyway — from losing committed progress.
+    /// The no-recovery policy plain runs and spot revocations run under:
+    /// zero retry budget (an unreplaced crash shrinks the fleet
+    /// immediately) and no PS failover. Checkpoint interval 1 keeps a PS
+    /// crash from losing committed progress.
     pub fn none() -> Self {
         RecoveryPolicy {
             checkpoint_interval_updates: 1,

@@ -20,30 +20,27 @@
 //! The staleness of each commit (updates by other workers between this
 //! worker's pull and its commit) is recorded.
 //!
-//! **Revocations** — [`simulate_disrupted`] additionally injects a schedule
-//! of [`Disruption`]s (spot-instance revocations from the elastic layer).
-//! When a worker is revoked its in-flight flows are cancelled and its
-//! partial iteration is lost. BSP stalls at the barrier until the worker
-//! is repaired; ASP degrades gracefully (the surviving workers keep
+//! **Faults & recovery** — [`simulate_faulted`] injects a [`FaultPlan`]
+//! from the `cynthia-faults` taxonomy under a [`RecoveryPolicy`]. A
+//! crashed worker's in-flight flows are cancelled and its partial
+//! iteration is lost. BSP stalls at the barrier until the worker is
+//! repaired; ASP degrades gracefully (the surviving workers keep
 //! committing). A repaired worker pays a checkpoint-restore cost before
-//! resuming: it re-pulls the full parameter set from the PS fleet. A
-//! disruption without a rejoin time shrinks the fleet permanently — the
-//! barrier re-forms over the survivors and the global batch is re-split
-//! across them.
-//!
-//! **Faults & recovery** — [`simulate_faulted`] generalizes this to the
-//! full `cynthia-faults` taxonomy: policy-driven worker crash restarts
-//! (retry budget, exponential backoff), straggler slowdowns, degraded
-//! links, transient PS stalls, and PS crashes that roll global progress
-//! back to the last checkpoint — permanently-dead PS nodes fail their
-//! parameter chunks over to the survivors. [`simulate_disrupted`] is a
-//! thin wrapper over it (crash-with-replacement / permanent departure,
-//! no recovery policy). See `docs/FAULTS.md` for the full semantics.
+//! resuming: it re-pulls the full parameter set from the PS fleet. A crash
+//! with a duration is a spot revocation whose replacement the environment
+//! supplies after that outage; one without is restarted by the policy
+//! (retry budget, exponential backoff). A permanent departure shrinks the
+//! fleet — the barrier re-forms over the survivors and the global batch is
+//! re-split across them. Straggler slowdowns, degraded links, transient PS
+//! stalls, and PS crashes that roll global progress back to the last
+//! checkpoint complete the taxonomy; permanently-dead PS nodes fail their
+//! parameter chunks over to the survivors. [`simulate`] is the empty plan
+//! under [`RecoveryPolicy::none`]. See `docs/FAULTS.md` for the full
+//! semantics.
 
 use crate::cluster::ClusterSpec;
 use crate::config::SimConfig;
 use crate::report::TrainingReport;
-use crate::trace::{Activity, TraceRecorder};
 use cynthia_faults::{FaultEvent, FaultKind, FaultPlan, LinkTarget, RecoveryPolicy};
 use cynthia_models::{SyncMode, Workload};
 use cynthia_sim::events::EventQueue;
@@ -60,69 +57,10 @@ pub struct TrainJob<'a> {
     pub config: SimConfig,
 }
 
-/// A revocation event injected into a training run: worker `worker` is
-/// revoked at virtual time `at` and, if `rejoin_at` is set, a replacement
-/// instance joins the cluster (and restores from the PS checkpoint) at that
-/// time. `rejoin_at: None` removes the worker permanently (fleet shrink).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Disruption {
-    pub worker: usize,
-    pub at: f64,
-    pub rejoin_at: Option<f64>,
-}
-
 /// Runs the job to completion and reports every observable the paper
 /// measures.
 pub fn simulate(job: &TrainJob) -> TrainingReport {
-    Engine::new(job).run().0
-}
-
-/// Like [`simulate`], with a schedule of worker revocations injected (see
-/// the module docs). Disruptions may arrive in any order; events at the
-/// same instant apply in schedule order.
-///
-/// # Panics
-/// Panics if a disruption names a worker outside the cluster, rejoins
-/// before it revokes, or if the config requests fast-forward extrapolation
-/// (revocations break the steady-state assumption it relies on).
-pub fn simulate_disrupted(job: &TrainJob, disruptions: &[Disruption]) -> TrainingReport {
-    let n = job.cluster.workers.len();
-    for d in disruptions {
-        assert!(
-            d.worker < n,
-            "disruption names worker {} of {}",
-            d.worker,
-            n
-        );
-        assert!(d.at >= 0.0, "disruption at negative time");
-        if let Some(r) = d.rejoin_at {
-            assert!(
-                r >= d.at,
-                "worker {} rejoins before it is revoked",
-                d.worker
-            );
-        }
-    }
-    // A revocation with a rejoin time is a worker crash whose replacement
-    // the environment supplies after the outage; one without is a
-    // permanent departure. No recovery policy applies: zero retry budget,
-    // no PS failover, continuous checkpointing.
-    let plan = FaultPlan::new(
-        disruptions
-            .iter()
-            .map(|d| match d.rejoin_at {
-                Some(r) => FaultEvent::transient(
-                    FaultKind::WorkerCrash { worker: d.worker },
-                    d.at,
-                    r - d.at,
-                ),
-                None => {
-                    FaultEvent::permanent(FaultKind::WorkerDeparture { worker: d.worker }, d.at)
-                }
-            })
-            .collect(),
-    );
-    simulate_faulted(job, &plan, &RecoveryPolicy::none())
+    simulate_faulted(job, &FaultPlan::default(), &RecoveryPolicy::none())
 }
 
 /// Like [`simulate`], with a [`FaultPlan`] injected and a [`RecoveryPolicy`]
@@ -148,39 +86,7 @@ pub fn simulate_faulted(
     policy
         .validate()
         .unwrap_or_else(|e| panic!("invalid recovery policy: {e}"));
-    let mut engine = Engine::new(job);
-    engine.policy = *policy;
-    engine.backoff_jitter = Jitter::new(
-        job.config.seed,
-        "restart-backoff",
-        0,
-        policy.backoff_jitter_cv,
-    );
-    engine.fault_plan = plan.events.clone();
-    engine.will_depart = {
-        let mut wd = vec![false; engine.n];
-        for e in &plan.events {
-            if let FaultKind::WorkerDeparture { worker } = e.kind {
-                wd[worker] = true;
-            }
-        }
-        wd
-    };
-    for (idx, e) in plan.events.iter().enumerate() {
-        engine.queue.schedule_at(e.at, Ev::Fault { idx });
-    }
-    engine.run().0
-}
-
-/// Like [`simulate`], additionally recording an execution trace of up to
-/// `max_spans` activity intervals (compute segments, pushes, applies,
-/// pulls) for timeline inspection — export with
-/// [`TraceRecorder::to_chrome_trace`].
-pub fn simulate_traced(job: &TrainJob, max_spans: usize) -> (TrainingReport, TraceRecorder) {
-    let mut engine = Engine::new(job);
-    engine.trace = Some(TraceRecorder::new(max_spans));
-    let (report, trace) = engine.run();
-    (report, trace.expect("trace was enabled"))
+    Engine::new(job, plan, policy).run()
 }
 
 // ---------------------------------------------------------------------
@@ -248,6 +154,18 @@ struct IterProgress {
     applied: Vec<u128>,
     /// Whether the chunk's updated parameters have been broadcast.
     broadcast: Vec<bool>,
+}
+
+impl IterProgress {
+    /// A cleared record for `chunks` chunks, reusing `spare`'s buffers.
+    fn reset(spare: Option<IterProgress>, chunks: usize) -> IterProgress {
+        let mut p = spare.unwrap_or_default();
+        p.applied.clear();
+        p.applied.resize(chunks, 0);
+        p.broadcast.clear();
+        p.broadcast.resize(chunks, false);
+        p
+    }
 }
 
 #[derive(Debug)]
@@ -369,6 +287,9 @@ struct Engine<'a> {
 
     // BSP progress
     applied: KeyMap<u64, IterProgress>,
+    /// Records of finished or rolled-back iterations, reused by the next
+    /// ones so the barrier allocates nothing per iteration.
+    spare_progress: Vec<IterProgress>,
     iterations_done: u64,
     last_completion: f64,
     warmup_time: f64,
@@ -401,10 +322,6 @@ struct Engine<'a> {
     total_time: f64,
     extrapolated: bool,
 
-    // optional execution tracing
-    trace: Option<TraceRecorder>,
-    flow_starts: KeyMap<u64, f64>,
-
     // running SSP staleness accumulator (drives the convergence penalty)
     ssp_stale_sum: f64,
     ssp_stale_count: u64,
@@ -415,7 +332,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(job: &'a TrainJob<'a>) -> Self {
+    fn new(job: &'a TrainJob<'a>, plan: &FaultPlan, policy: &RecoveryPolicy) -> Self {
         let w = job.workload;
         let cluster = &job.cluster;
         let cfg = &job.config;
@@ -491,6 +408,17 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
+        let mut will_depart = vec![false; n];
+        for e in &plan.events {
+            if let FaultKind::WorkerDeparture { worker } = e.kind {
+                will_depart[worker] = true;
+            }
+        }
+        let mut queue = EventQueue::new();
+        for (idx, e) in plan.events.iter().enumerate() {
+            queue.schedule_at(e.at, Ev::Fault { idx });
+        }
+
         let target = w.iterations;
         let (horizon, warmup) = match cfg.fast_forward {
             Some(ff) if ff.horizon() < target => (ff.horizon(), ff.warmup),
@@ -510,7 +438,7 @@ impl<'a> Engine<'a> {
             chunk_mb,
             chunk_ps,
             chunk_latest: vec![0; l],
-            queue: EventQueue::new(),
+            queue,
             fluid,
             done: Vec::new(),
             wk_nic,
@@ -527,9 +455,9 @@ impl<'a> Engine<'a> {
             n_active: n,
             revocations: 0,
             repairs: 0,
-            policy: RecoveryPolicy::none(),
-            fault_plan: Vec::new(),
-            will_depart: vec![false; n],
+            policy: *policy,
+            fault_plan: plan.events.clone(),
+            will_depart,
             stragglers: vec![Vec::new(); n],
             wk_nic_degs: vec![Vec::new(); n],
             ps_nic_degs: vec![Vec::new(); n_ps],
@@ -542,7 +470,7 @@ impl<'a> Engine<'a> {
             ps_down_count: 0,
             deg_active: 0,
             crash_attempts: vec![0; n],
-            backoff_jitter: Jitter::new(cfg.seed, "restart-backoff", 0, 0.0),
+            backoff_jitter: Jitter::new(cfg.seed, "restart-backoff", 0, policy.backoff_jitter_cv),
             hwm: 0,
             lost_updates: 0,
             replayed_updates: 0,
@@ -553,6 +481,7 @@ impl<'a> Engine<'a> {
             progress_curve: Vec::new(),
             progress_stride: (target / 256).max(1),
             applied: KeyMap::default(),
+            spare_progress: Vec::new(),
             iterations_done: 0,
             last_completion: 0.0,
             warmup_time: 0.0,
@@ -573,49 +502,15 @@ impl<'a> Engine<'a> {
             done_time: None,
             total_time: 0.0,
             extrapolated: false,
-            trace: None,
-            flow_starts: KeyMap::default(),
             ssp_stale_sum: 0.0,
             ssp_stale_count: 0,
             obs_run: 0,
         }
     }
 
-    /// Starts a flow, recording its start time when tracing is enabled.
-    fn launch_flow(&mut self, links: LinkSet, volume: f64, t: u64) {
-        if self.trace.is_some() {
-            self.flow_starts.insert(t, self.queue.now());
-        }
-        self.fluid.start_flow_on(links, volume, t);
-    }
-
     /// The link set of a push or pull between worker `j` and PS `k`.
     fn nic_pair(&self, j: usize, k: usize) -> LinkSet {
         self.nic_pairs[j * self.n_ps + k]
-    }
-
-    /// Records a completed flow span when tracing is enabled.
-    fn trace_flow_done(&mut self, t: u64) {
-        let Some(trace) = self.trace.as_mut() else {
-            return;
-        };
-        let Some(start) = self.flow_starts.remove(&t) else {
-            return;
-        };
-        let (kind, j, l, iter) = untag(t);
-        let (lane, activity) = match kind {
-            KIND_PUSH => (format!("worker-{j}"), Activity::Push),
-            KIND_APPLY => (format!("ps-{}", self.chunk_ps[l]), Activity::Apply),
-            _ => (format!("worker-{j}"), Activity::Pull),
-        };
-        trace.record(lane, activity, iter, start, self.queue.now());
-    }
-
-    /// Records a compute span when tracing is enabled.
-    fn trace_compute(&mut self, j: usize, iter: u64, start: f64, end: f64) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(format!("worker-{j}"), Activity::Compute, iter, start, end);
-        }
     }
 
     /// Per-iteration compute work for one worker, GFLOP (Eq. 4's numerator
@@ -643,7 +538,7 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
     // Driving loop
 
-    fn run(mut self) -> (TrainingReport, Option<TraceRecorder>) {
+    fn run(mut self) -> TrainingReport {
         self.obs_run = crate::obs::run_begin(self.queue.now());
         match self.sync {
             SyncMode::Bsp => {
@@ -708,8 +603,7 @@ impl<'a> Engine<'a> {
         }
         let end = self.done_time.unwrap_or_else(|| self.queue.now());
         crate::obs::run_end(self.obs_run, end, self.progress());
-        let trace = self.trace.take();
-        (self.finish(), trace)
+        self.finish()
     }
 
     fn progress(&self) -> u64 {
@@ -826,8 +720,6 @@ impl<'a> Engine<'a> {
         self.workers[j].computing = true;
         self.workers[j].compute_busy += dur;
         self.workers[j].cur_iter_comp += dur;
-        let now = self.queue.now();
-        self.trace_compute(j, needed_version, now, now + dur);
         let inc = self.workers[j].inc;
         self.queue.schedule_after(dur, Ev::Seg { worker: j, inc });
     }
@@ -873,7 +765,7 @@ impl<'a> Engine<'a> {
         // Push this chunk's gradient.
         self.comm_begin(iter);
         let k = self.chunk_ps[l];
-        self.launch_flow(
+        self.fluid.start_flow_on(
             self.nic_pair(j, k),
             self.chunk_mb[l],
             tag(KIND_PUSH, j, l, iter),
@@ -882,23 +774,24 @@ impl<'a> Engine<'a> {
     }
 
     fn on_flow_done(&mut self, t: u64) {
-        self.trace_flow_done(t);
         let (kind, j, l, iter) = untag(t);
         match (self.sync, kind) {
             (SyncMode::Bsp, KIND_PUSH) => {
                 // Gradient arrived: PS ingests/applies it (CPU work).
                 let k = self.chunk_ps[l];
                 let work = self.w.ps_apply_gflops_per_mb * self.chunk_mb[l];
-                self.launch_flow(self.cpu_set[k], work, tag(KIND_APPLY, j, l, iter));
+                self.fluid
+                    .start_flow_on(self.cpu_set[k], work, tag(KIND_APPLY, j, l, iter));
             }
             (SyncMode::Bsp, KIND_APPLY) => {
                 self.comm_end(iter);
                 let l_total = self.chunk_mb.len();
                 let mask = self.active_mask;
-                let prog = self.applied.entry(iter).or_insert_with(|| IterProgress {
-                    applied: vec![0; l_total],
-                    broadcast: vec![false; l_total],
-                });
+                let spare = &mut self.spare_progress;
+                let prog = self
+                    .applied
+                    .entry(iter)
+                    .or_insert_with(|| IterProgress::reset(spare.pop(), l_total));
                 // Idempotent: a restored worker re-pushes chunks it already
                 // delivered before the revocation.
                 prog.applied[l] |= 1u128 << j;
@@ -912,7 +805,7 @@ impl<'a> Engine<'a> {
                     self.broadcast_chunk(iter, l);
                 }
                 if iter_complete {
-                    self.applied.remove(&iter);
+                    self.retire_progress(iter);
                     self.on_bsp_iteration_complete(iter);
                 }
             }
@@ -925,7 +818,8 @@ impl<'a> Engine<'a> {
             (SyncMode::Asp, KIND_PUSH) => {
                 let k = self.chunk_ps[l];
                 let work = self.w.ps_apply_gflops_per_mb * self.chunk_mb[l];
-                self.launch_flow(self.cpu_set[k], work, tag(KIND_APPLY, j, l, iter));
+                self.fluid
+                    .start_flow_on(self.cpu_set[k], work, tag(KIND_APPLY, j, l, iter));
             }
             (SyncMode::Asp, KIND_APPLY) => {
                 // Guarded: a rollback zeroes the counter while a stale
@@ -960,6 +854,13 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Moves iteration `iter`'s barrier record to the spare list.
+    fn retire_progress(&mut self, iter: u64) {
+        if let Some(prog) = self.applied.remove(&iter) {
+            self.spare_progress.push(prog);
+        }
+    }
+
     /// Ships the freshly-updated chunk `l` of parameter version `iter + 1`
     /// to every worker currently in the cluster.
     fn broadcast_chunk(&mut self, iter: u64, l: usize) {
@@ -970,7 +871,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             self.comm_begin(iter);
-            self.launch_flow(
+            self.fluid.start_flow_on(
                 self.nic_pair(dst, k),
                 self.chunk_mb[l],
                 tag(KIND_PULL, dst, l, iter),
@@ -1070,7 +971,6 @@ impl<'a> Engine<'a> {
             wj == j && (is_asp || kind != KIND_APPLY)
         });
         for (t, _remaining) in cancelled {
-            self.flow_starts.remove(&t);
             let (kind, _, _, iter) = untag(t);
             // BSP accounting: a push's comm interval normally closes at
             // apply completion, a broadcast's at pull completion; close
@@ -1155,7 +1055,7 @@ impl<'a> Engine<'a> {
         }
         for l in 0..self.chunk_mb.len() {
             let k = self.chunk_ps[l];
-            self.launch_flow(
+            self.fluid.start_flow_on(
                 self.nic_pair(j, k),
                 self.chunk_mb[l],
                 tag(KIND_RESTORE, j, l, restore_uid),
@@ -1227,7 +1127,7 @@ impl<'a> Engine<'a> {
                 .get(&iter)
                 .is_some_and(|p| p.broadcast.iter().all(|b| *b));
             if complete {
-                self.applied.remove(&iter);
+                self.retire_progress(iter);
                 self.on_bsp_iteration_complete(iter);
                 if self.done_time.is_some() {
                     return;
@@ -1432,11 +1332,11 @@ impl<'a> Engine<'a> {
 
         // Everything in flight dies with the parameter state.
         self.fluid.cancel_flows_where(|_| true);
-        self.flow_starts.clear();
         self.comm_active.clear();
         self.comm_accum.clear();
         self.comp_per_iter.clear();
-        self.applied.clear();
+        self.spare_progress
+            .extend(self.applied.drain().map(|(_, prog)| prog));
         self.loss_curve.retain(|(s, _)| *s <= ckpt);
         match self.sync {
             SyncMode::Bsp => self.iterations_done = ckpt,
@@ -1537,13 +1437,11 @@ impl<'a> Engine<'a> {
         let base = self.compute_gflops_per_worker() / (self.worker_rate(j) * self.speed_factor(j));
         let dur = self.workers[j].jitter.perturb(base).max(1e-12);
         let now = self.queue.now();
-        let iter = self.workers[j].iter;
         let w = &mut self.workers[j];
         w.computing = true;
         w.cycle_start = now + extra_delay;
         w.compute_busy += dur;
         w.cur_iter_comp = dur;
-        self.trace_compute(j, iter, now + extra_delay, now + extra_delay + dur);
         let inc = self.workers[j].inc;
         self.queue
             .schedule_after(extra_delay + dur, Ev::Seg { worker: j, inc });
@@ -1560,7 +1458,7 @@ impl<'a> Engine<'a> {
         }
         for l in 0..self.chunk_mb.len() {
             let k = self.chunk_ps[l];
-            self.launch_flow(
+            self.fluid.start_flow_on(
                 self.nic_pair(j, k),
                 self.chunk_mb[l],
                 tag(KIND_PUSH, j, l, uid),
@@ -1619,7 +1517,7 @@ impl<'a> Engine<'a> {
         self.workers[j].pending_pulls = self.chunk_mb.len();
         for l in 0..self.chunk_mb.len() {
             let k = self.chunk_ps[l];
-            self.launch_flow(
+            self.fluid.start_flow_on(
                 self.nic_pair(j, k),
                 self.chunk_mb[l],
                 tag(KIND_PULL, j, l, uid),
@@ -1985,47 +1883,23 @@ mod tests {
         assert!(peak > 0.9 * nic, "peak should reach the NIC cap: {peak}");
     }
 
-    #[test]
-    fn traced_run_matches_untraced_and_accounts_busy_time() {
-        use crate::trace::Activity;
-        let mut w = Workload::mnist_bsp();
-        w.iterations = 60;
-        let job = TrainJob {
-            workload: &w,
-            cluster: m4_cluster(2, 1),
-            config: SimConfig::deterministic(8),
-        };
-        let plain = simulate(&job);
-        let (traced, trace) = simulate_traced(&job, 1_000_000);
-        assert_eq!(
-            plain.total_time, traced.total_time,
-            "tracing must not perturb"
-        );
-        // The traced compute time matches the report's busy accounting.
-        let busy0 = trace.busy_time("worker-0", Activity::Compute);
-        let expect0 = traced.worker_cpu_util[0] * traced.simulated_time;
-        assert!(
-            (busy0 - expect0).abs() / expect0 < 0.02,
-            "trace busy {busy0} vs report {expect0}"
-        );
-        // All four activity kinds appear, and the export is parseable.
-        for act in [
-            Activity::Compute,
-            Activity::Push,
-            Activity::Apply,
-            Activity::Pull,
-        ] {
-            assert!(
-                trace.spans().iter().any(|sp| sp.activity == act),
-                "{act:?} missing from trace"
-            );
-        }
-        let json = trace.to_chrome_trace();
-        assert!(json.contains("traceEvents"));
+    /// Worker `worker` is revoked at `at`; its replacement joins `outage`
+    /// seconds later.
+    fn revoke(worker: usize, at: f64, outage: f64) -> FaultEvent {
+        FaultEvent::transient(FaultKind::WorkerCrash { worker }, at, outage)
+    }
+
+    /// Worker `worker` leaves the fleet for good at `at`.
+    fn depart(worker: usize, at: f64) -> FaultEvent {
+        FaultEvent::permanent(FaultKind::WorkerDeparture { worker }, at)
+    }
+
+    fn run_faults(job: &TrainJob, events: Vec<FaultEvent>) -> TrainingReport {
+        simulate_faulted(job, &FaultPlan::new(events), &RecoveryPolicy::none())
     }
 
     #[test]
-    fn empty_disruption_schedule_matches_plain_simulation() {
+    fn simulate_is_the_empty_plan_without_recovery() {
         let mut w = Workload::mnist_bsp();
         w.iterations = 100;
         let job = TrainJob {
@@ -2034,10 +1908,20 @@ mod tests {
             config: SimConfig::deterministic(31),
         };
         let plain = simulate(&job);
-        let disrupted = simulate_disrupted(&job, &[]);
-        assert_eq!(plain.total_time, disrupted.total_time);
-        assert_eq!(disrupted.revocations, 0);
-        assert_eq!(disrupted.repairs, 0);
+        let faulted = run_faults(&job, Vec::new());
+        assert_eq!(plain.total_time, faulted.total_time);
+        assert_eq!(plain.simulated_time, faulted.simulated_time);
+        assert_eq!(plain.loss_curve, faulted.loss_curve);
+        assert_eq!(plain.iter_time, faulted.iter_time);
+        assert_eq!(plain.comp_time, faulted.comp_time);
+        assert_eq!(plain.comm_time, faulted.comm_time);
+        assert_eq!(plain.staleness, faulted.staleness);
+        assert_eq!(plain.worker_cpu_util, faulted.worker_cpu_util);
+        assert_eq!(plain.ps_cpu_util, faulted.ps_cpu_util);
+        assert_eq!(plain.ps_nic_series, faulted.ps_nic_series);
+        assert_eq!(plain.progress_curve, faulted.progress_curve);
+        assert_eq!(faulted.revocations, 0);
+        assert_eq!(faulted.repairs, 0);
     }
 
     #[test]
@@ -2051,12 +1935,7 @@ mod tests {
         };
         let base = simulate(&job);
         // Revoke worker 2 mid-run; a replacement joins 20 s later.
-        let d = [Disruption {
-            worker: 2,
-            at: base.total_time * 0.4,
-            rejoin_at: Some(base.total_time * 0.4 + 20.0),
-        }];
-        let r = simulate_disrupted(&job, &d);
+        let r = run_faults(&job, vec![revoke(2, base.total_time * 0.4, 20.0)]);
         assert_eq!(r.revocations, 1);
         assert_eq!(r.repairs, 1);
         assert_eq!(r.simulated_iterations, 200, "the barrier must release");
@@ -2079,12 +1958,7 @@ mod tests {
         };
         let base = simulate(&job);
         let outage = base.total_time * 0.5;
-        let d = [Disruption {
-            worker: 1,
-            at: base.total_time * 0.25,
-            rejoin_at: Some(base.total_time * 0.25 + outage),
-        }];
-        let r = simulate_disrupted(&job, &d);
+        let r = run_faults(&job, vec![revoke(1, base.total_time * 0.25, outage)]);
         assert_eq!(r.simulated_iterations, 60);
         assert_eq!(r.revocations, 1);
         // Survivors keep committing: the slowdown is far smaller than the
@@ -2108,12 +1982,7 @@ mod tests {
                 config: SimConfig::deterministic(37),
             };
             let base = simulate(&job);
-            let d = [Disruption {
-                worker: 0,
-                at: base.total_time * 0.3,
-                rejoin_at: None,
-            }];
-            let r = simulate_disrupted(&job, &d);
+            let r = run_faults(&job, vec![depart(0, base.total_time * 0.3)]);
             assert_eq!(
                 r.simulated_iterations,
                 80,
@@ -2141,21 +2010,15 @@ mod tests {
         };
         let base = simulate(&job);
         let t = base.total_time;
-        let d = [
-            Disruption {
-                worker: 1,
-                at: t * 0.2,
-                rejoin_at: Some(t * 0.2 + 10.0),
-            },
-            // Second reclaim lands while the first repair may still be
-            // restoring; the slot must survive both.
-            Disruption {
-                worker: 1,
-                at: t * 0.2 + 12.0,
-                rejoin_at: Some(t * 0.2 + 30.0),
-            },
-        ];
-        let r = simulate_disrupted(&job, &d);
+        let r = run_faults(
+            &job,
+            vec![
+                revoke(1, t * 0.2, 10.0),
+                // Second reclaim lands while the first repair may still be
+                // restoring; the slot must survive both.
+                revoke(1, t * 0.2 + 12.0, 18.0),
+            ],
+        );
         assert_eq!(r.simulated_iterations, 120);
         assert_eq!(r.revocations, 2);
         assert_eq!(r.repairs, 2);
@@ -2170,20 +2033,9 @@ mod tests {
             cluster: m4_cluster(3, 1),
             config: SimConfig::exact(41),
         };
-        let d = [
-            Disruption {
-                worker: 0,
-                at: 30.0,
-                rejoin_at: Some(55.0),
-            },
-            Disruption {
-                worker: 2,
-                at: 60.0,
-                rejoin_at: None,
-            },
-        ];
-        let a = simulate_disrupted(&job, &d);
-        let b = simulate_disrupted(&job, &d);
+        let events = vec![revoke(0, 30.0, 25.0), depart(2, 60.0)];
+        let a = run_faults(&job, events.clone());
+        let b = run_faults(&job, events);
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.loss_curve, b.loss_curve);
         assert_eq!(a.revocations, b.revocations);

@@ -19,7 +19,10 @@
 //! * Heterogeneous clusters (straggler instances) pace BSP barriers.
 //! * Compute durations carry seeded log-normal jitter.
 //!
-//! Entry point: [`engine::simulate`] with a [`TrainJob`].
+//! Entry points: [`simulate`] runs a [`TrainJob`]; [`simulate_faulted`]
+//! runs it under a [`FaultPlan`] and a [`RecoveryPolicy`]. A run's
+//! timeline is recorded as spans of the process-wide `cynthia_obs`
+//! tracer (see [`obs`]).
 //!
 //! ```
 //! use cynthia_cloud::default_catalog;
@@ -44,15 +47,11 @@ pub mod config;
 pub mod engine;
 pub mod obs;
 pub mod report;
-pub mod trace;
 
 pub use cluster::ClusterSpec;
 pub use config::{FastForward, SimConfig};
 pub use cynthia_faults::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, LinkTarget, RecoveryPolicy,
 };
-pub use engine::{
-    simulate, simulate_disrupted, simulate_faulted, simulate_traced, Disruption, TrainJob,
-};
+pub use engine::{simulate, simulate_faulted, TrainJob};
 pub use report::TrainingReport;
-pub use trace::TraceRecorder;

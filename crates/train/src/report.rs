@@ -56,8 +56,8 @@ pub struct TrainingReport {
     pub final_loss: f64,
     /// ASP parameter staleness (in missed updates); all-zero for BSP.
     pub staleness: Stats,
-    /// Worker revocations that actually disrupted the run (spot reclaims
-    /// injected via `simulate_disrupted`).
+    /// Worker revocations that actually disrupted the run (crashes and
+    /// departures of a fault plan, e.g. spot reclaims).
     #[serde(default)]
     pub revocations: u32,
     /// Repairs completed: replacement workers that finished their

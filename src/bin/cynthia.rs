@@ -295,26 +295,31 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<String, String> {
         cluster: ClusterSpec::homogeneous(&ty, n, n_ps),
         config: SimConfig::fast(42),
     };
-    let (report, trace_note) = if let Some(path) = flags.get("trace") {
-        let (report, trace) = cynthia::train::simulate_traced(&job, 200_000);
-        std::fs::write(path, trace.to_chrome_trace())
-            .map_err(|e| format!("cannot write trace to {path:?}: {e}"))?;
-        (
-            report,
-            format!(
-                "\ntrace: {} spans written to {path} (open in chrome://tracing)",
-                trace.spans().len()
-            ),
-        )
-    } else {
-        (simulate(&job), String::new())
+    // `--trace` records the run on the process-wide obs tracer: the
+    // `train.run` span and its `train.iteration` spans (BSP iterations
+    // with comp/comm/stall seconds, ASP cycles on per-worker lanes).
+    let trace_path = flags.get("trace");
+    let tracer = cynthia::obs::tracer();
+    tracer.set_enabled(trace_path.is_some());
+    let report = simulate(&job);
+    tracer.set_enabled(false);
+    let note = match trace_path {
+        Some(path) => {
+            let dropped = tracer.dropped();
+            let spans = tracer.drain();
+            let chrome = cynthia::obs::span::to_chrome_trace(&spans);
+            cynthia::obs::export::write_json_pretty(path, &chrome)
+                .map_err(|e| format!("cannot write trace to {path:?}: {e}"))?;
+            trace_note(path, spans.len(), dropped)
+        }
+        None => String::new(),
     };
     Ok(format!(
         "{} on {n}×{} + {n_ps} PS ({} updates):\n  \
          training time {:.0}s{}\n  \
          mean iteration {:.4}s (comp {:.4}s, comm {:.4}s)\n  \
          final loss {:.3}\n  \
-         worker CPU {:.0}%, PS CPU {:.0}%, PS NIC {:.1} MB/s{}",
+         worker CPU {:.0}%, PS CPU {:.0}%, PS NIC {:.1} MB/s{note}",
         workload.id(),
         ty.name,
         report.iterations,
@@ -331,8 +336,18 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<String, String> {
         report.mean_worker_util() * 100.0,
         report.mean_ps_util() * 100.0,
         report.total_ps_nic_mbps(),
-        trace_note
     ))
+}
+
+/// The `--trace` line of `cynthia simulate`: how many spans went to
+/// `path`, and how many the full span buffer dropped.
+fn trace_note(path: &str, written: usize, dropped: u64) -> String {
+    let dropped = if dropped > 0 {
+        format!(" ({dropped} more dropped: span buffer full)")
+    } else {
+        String::new()
+    };
+    format!("\ntrace: {written} spans{dropped} written to {path} (open in chrome://tracing)")
 }
 
 fn cmd_profile(flags: &HashMap<String, String>) -> Result<String, String> {
@@ -491,6 +506,15 @@ mod tests {
         ])
         .unwrap();
         assert!(starve.contains("no plan fits"), "{starve}");
+    }
+
+    #[test]
+    fn trace_note_reports_dropped_spans() {
+        let full = trace_note("t.json", 262_144, 17);
+        assert!(full.contains("262144 spans (17 more dropped"), "{full}");
+        let whole = trace_note("t.json", 61, 0);
+        assert!(whole.contains("61 spans written to t.json"), "{whole}");
+        assert!(!whole.contains("dropped"), "{whole}");
     }
 
     #[test]

@@ -76,7 +76,6 @@ pub mod prelude {
     };
     pub use cynthia_models::{ConvergenceProfile, SyncMode, Workload};
     pub use cynthia_train::{
-        simulate, simulate_disrupted, simulate_faulted, ClusterSpec, Disruption, SimConfig,
-        TrainJob, TrainingReport,
+        simulate, simulate_faulted, ClusterSpec, SimConfig, TrainJob, TrainingReport,
     };
 }

@@ -226,22 +226,29 @@ fn straggler_slows_bsp_down_then_releases() {
 }
 
 // ---------------------------------------------------------------------
-// `Disruption` edge-case regressions (the `simulate_disrupted` wrapper).
+// Spot-revocation edge cases: worker crashes with an environment-supplied
+// outage under the no-recovery policy, as the elastic layer injects them.
+
+/// Worker `worker` is revoked at `at`; its replacement joins `outage`
+/// seconds later.
+fn revoke(worker: usize, at: f64, outage: f64) -> FaultEvent {
+    FaultEvent::transient(FaultKind::WorkerCrash { worker }, at, outage)
+}
+
+fn revoked(job: &TrainJob, events: Vec<FaultEvent>) -> TrainingReport {
+    simulate_faulted(job, &FaultPlan::new(events), &RecoveryPolicy::none())
+}
 
 #[test]
 fn disruption_at_time_zero_is_survivable() {
     let w = Workload::mnist_bsp().with_iterations(100);
-    let r = simulate_disrupted(
+    let r = revoked(
         &TrainJob {
             workload: &w,
             cluster: cluster(4, 1),
             config: SimConfig::deterministic(2),
         },
-        &[Disruption {
-            worker: 0,
-            at: 0.0,
-            rejoin_at: Some(30.0),
-        }],
+        vec![revoke(0, 0.0, 30.0)],
     );
     assert_eq!(r.simulated_iterations, 100);
     assert_eq!(r.revocations, 1);
@@ -258,14 +265,7 @@ fn disruption_past_completion_is_inert() {
     };
     let plain = simulate(&job);
     let late = plain.total_time * 2.0;
-    let r = simulate_disrupted(
-        &job,
-        &[Disruption {
-            worker: 1,
-            at: late,
-            rejoin_at: Some(late + 60.0),
-        }],
-    );
+    let r = revoked(&job, vec![revoke(1, late, 60.0)]);
     assert_eq!(r.revocations, 0, "a post-completion reclaim never lands");
     assert_eq!(r.total_time, plain.total_time);
     assert_eq!(r.loss_curve, plain.loss_curve);
@@ -283,21 +283,7 @@ fn overlapping_disruptions_of_same_worker_coalesce() {
     let t0 = plain.total_time * 0.2;
     // The second reclaim lands while the slot is already absent from the
     // first: it must be absorbed, not crash the engine or double-count.
-    let r = simulate_disrupted(
-        &job,
-        &[
-            Disruption {
-                worker: 0,
-                at: t0,
-                rejoin_at: Some(t0 + 40.0),
-            },
-            Disruption {
-                worker: 0,
-                at: t0 + 10.0,
-                rejoin_at: Some(t0 + 60.0),
-            },
-        ],
-    );
+    let r = revoked(&job, vec![revoke(0, t0, 40.0), revoke(0, t0 + 10.0, 50.0)]);
     assert_eq!(r.simulated_iterations, 120);
     assert_eq!(r.revocations, 1, "absent slot cannot be revoked again");
     assert_eq!(r.repairs, 1);
