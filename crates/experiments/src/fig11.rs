@@ -48,41 +48,67 @@ pub struct Fig11 {
     pub rows: Vec<GoalRow>,
 }
 
-/// Executes a plan on the ground-truth simulator and scores it.
-pub(crate) fn execute_plan(
+/// Executes plans on the ground-truth simulator and scores each against
+/// its goal. `jobs` holds `(plan, goal, strategy)`; a job with no plan
+/// scores `None`. A run depends only on the instance type, the cluster
+/// shape and the update count, so each distinct one is simulated once and
+/// shared by every goal and strategy that picked it (Cynthia and Optimus,
+/// or two deadlines, often pick the same cluster). Outcomes come back in
+/// input order.
+pub(crate) fn execute_plans(
     cfg: &ExpConfig,
     workload: &Workload,
-    the_plan: &Plan,
-    goal: &Goal,
-    strategy: &str,
-) -> StrategyOutcome {
-    let ty = cfg.catalog.expect(&the_plan.type_name);
-    let configured = workload.clone().with_iterations(the_plan.total_updates);
-    let report = simulate(&TrainJob {
-        workload: &configured,
-        cluster: ClusterSpec::homogeneous(ty, the_plan.n_workers, the_plan.n_ps),
-        config: cfg.sim(0),
+    jobs: &[(Option<Plan>, Goal, &str)],
+) -> Vec<Option<StrategyOutcome>> {
+    let same_run = |a: &Plan, b: &Plan| {
+        (&a.type_name, a.n_workers, a.n_ps, a.total_updates)
+            == (&b.type_name, b.n_workers, b.n_ps, b.total_updates)
+    };
+    let mut runs: Vec<&Plan> = Vec::new();
+    let run_of: Vec<Option<usize>> = jobs
+        .iter()
+        .map(|(p, _, _)| {
+            let p = p.as_ref()?;
+            Some(runs.iter().position(|q| same_run(q, p)).unwrap_or_else(|| {
+                runs.push(p);
+                runs.len() - 1
+            }))
+        })
+        .collect();
+    let reports = rayon::par_map(runs, |p| {
+        let ty = cfg.catalog.expect(&p.type_name);
+        simulate(&TrainJob {
+            workload: &workload.clone().with_iterations(p.total_updates),
+            cluster: ClusterSpec::homogeneous(ty, p.n_workers, p.n_ps),
+            config: cfg.sim(0),
+        })
     });
-    let cost = static_cluster_cost(
-        ty.price_per_hour,
-        the_plan.n_workers,
-        ty.price_per_hour,
-        the_plan.n_ps,
-        report.total_time,
-    );
-    StrategyOutcome {
-        strategy: strategy.to_string(),
-        plan: format!(
-            "{}*{} + {}ps",
-            the_plan.n_workers, the_plan.type_name, the_plan.n_ps
-        ),
-        n_workers: the_plan.n_workers,
-        n_ps: the_plan.n_ps,
-        actual_time_s: report.total_time,
-        cost_usd: cost,
-        met_deadline: report.total_time <= goal.deadline_secs,
-        achieved_loss: report.final_loss,
-    }
+    jobs.iter()
+        .zip(run_of)
+        .map(|((the_plan, goal, strategy), run)| {
+            let (the_plan, report) = (the_plan.as_ref()?, &reports[run?]);
+            let ty = cfg.catalog.expect(&the_plan.type_name);
+            Some(StrategyOutcome {
+                strategy: strategy.to_string(),
+                plan: format!(
+                    "{}*{} + {}ps",
+                    the_plan.n_workers, the_plan.type_name, the_plan.n_ps
+                ),
+                n_workers: the_plan.n_workers,
+                n_ps: the_plan.n_ps,
+                actual_time_s: report.total_time,
+                cost_usd: static_cluster_cost(
+                    ty.price_per_hour,
+                    the_plan.n_workers,
+                    ty.price_per_hour,
+                    the_plan.n_ps,
+                    report.total_time,
+                ),
+                met_deadline: report.total_time <= goal.deadline_secs,
+                achieved_loss: report.final_loss,
+            })
+        })
+        .collect()
 }
 
 fn infeasible(strategy: &str) -> StrategyOutcome {
@@ -120,27 +146,30 @@ pub(crate) fn run_goals(
     let optimus_model =
         OptimusModel::fit_from_simulation(workload, cfg.m4(), &[1, 2, 3, 4], cfg.seed);
     let opts = PlannerOptions::default();
+    let mut jobs = Vec::new();
+    for &(deadline_secs, target_loss) in goals {
+        let goal = Goal {
+            deadline_secs,
+            target_loss,
+        };
+        let cynthia = plan(&profile, &loss, &cfg.catalog, &goal, &opts);
+        let optimus =
+            plan_with_optimus(&optimus_model, &profile, &loss, &cfg.catalog, &goal, &opts);
+        jobs.push((cynthia, goal, "Cynthia"));
+        jobs.push((optimus, goal, "Optimus"));
+    }
+    let outcomes = execute_plans(cfg, workload, &jobs);
+    let outcome =
+        |o: &Option<StrategyOutcome>, strategy| o.clone().unwrap_or_else(|| infeasible(strategy));
     goals
         .iter()
-        .map(|&(deadline_s, target_loss)| {
-            let goal = Goal {
-                deadline_secs: deadline_s,
-                target_loss,
-            };
-            let cynthia = plan(&profile, &loss, &cfg.catalog, &goal, &opts)
-                .map(|p| execute_plan(cfg, workload, &p, &goal, "Cynthia"))
-                .unwrap_or_else(|| infeasible("Cynthia"));
-            let optimus =
-                plan_with_optimus(&optimus_model, &profile, &loss, &cfg.catalog, &goal, &opts)
-                    .map(|p| execute_plan(cfg, workload, &p, &goal, "Optimus"))
-                    .unwrap_or_else(|| infeasible("Optimus"));
-            GoalRow {
-                workload: workload.id(),
-                deadline_s,
-                target_loss,
-                cynthia,
-                optimus,
-            }
+        .zip(outcomes.chunks_exact(2))
+        .map(|(&(deadline_s, target_loss), pair)| GoalRow {
+            workload: workload.id(),
+            deadline_s,
+            target_loss,
+            cynthia: outcome(&pair[0], "Cynthia"),
+            optimus: outcome(&pair[1], "Optimus"),
         })
         .collect()
 }

@@ -10,7 +10,7 @@
 //! rates are compared — the fleet-level version of Figs. 11–13.
 
 use crate::common::{render_table, ExpConfig};
-use crate::fig11::{execute_plan, oracle_loss};
+use crate::fig11::{execute_plans, oracle_loss, StrategyOutcome};
 use cynthia_baselines::{plan_with_optimus, OptimusModel};
 use cynthia_core::profiler::{profile_workload, ProfileData};
 use cynthia_core::provisioner::{plan, Goal, PlannerOptions};
@@ -65,38 +65,42 @@ pub fn run(cfg: &ExpConfig) -> Fleet {
             OptimusModel::fit_from_simulation(&workload, cfg.m4(), &[1, 2, 3, 4], cfg.seed);
         let mut rng = component_rng(cfg.seed, "fleet-goals", wi as u64);
 
-        // Goals are drawn serially (one shared RNG stream), then each
-        // submission is planned and executed in parallel — planning and
-        // execution are pure functions of (cfg, workload, goal).
-        let goals: Vec<Goal> = (0..jobs_per_workload)
-            .map(|_| draw_goal(&workload, &mut rng))
-            .collect();
-        jobs.extend(rayon::par_map(goals, |goal| {
-            let cynthia = plan(&profile, &loss, &cfg.catalog, &goal, &opts).map(|p| {
-                let o = execute_plan(cfg, &workload, &p, &goal, "Cynthia");
+        // Goals are drawn from one shared RNG stream and planned in turn;
+        // planning and execution are pure functions of (cfg, workload,
+        // goal), and the distinct plans run in parallel.
+        let mut plans = Vec::new();
+        for _ in 0..jobs_per_workload {
+            let goal = draw_goal(&workload, &mut rng);
+            let cynthia = plan(&profile, &loss, &cfg.catalog, &goal, &opts);
+            let optimus =
+                plan_with_optimus(&optimus_model, &profile, &loss, &cfg.catalog, &goal, &opts);
+            plans.push((cynthia, goal, "Cynthia"));
+            plans.push((optimus, goal, "Optimus"));
+        }
+        let outcomes = execute_plans(cfg, &workload, &plans);
+        let scored = |o: &Option<StrategyOutcome>, goal: &Goal| {
+            o.as_ref().map(|o| {
                 (
                     o.met_deadline && o.achieved_loss <= goal.target_loss * 1.1,
                     o.cost_usd,
                 )
-            });
-            let optimus =
-                plan_with_optimus(&optimus_model, &profile, &loss, &cfg.catalog, &goal, &opts).map(
-                    |p| {
-                        let o = execute_plan(cfg, &workload, &p, &goal, "Optimus");
-                        (
-                            o.met_deadline && o.achieved_loss <= goal.target_loss * 1.1,
-                            o.cost_usd,
-                        )
-                    },
-                );
-            JobOutcome {
-                workload: workload.id(),
-                deadline_s: goal.deadline_secs,
-                target_loss: goal.target_loss,
-                cynthia,
-                optimus,
-            }
-        }));
+            })
+        };
+        jobs.extend(
+            plans
+                .chunks_exact(2)
+                .zip(outcomes.chunks_exact(2))
+                .map(|(pair, outcome)| {
+                    let goal = &pair[0].1;
+                    JobOutcome {
+                        workload: workload.id(),
+                        deadline_s: goal.deadline_secs,
+                        target_loss: goal.target_loss,
+                        cynthia: scored(&outcome[0], goal),
+                        optimus: scored(&outcome[1], goal),
+                    }
+                }),
+        );
     }
 
     let total = |f: &dyn Fn(&JobOutcome) -> Option<(bool, f64)>| -> (f64, f64) {

@@ -90,6 +90,12 @@
 //!   time is a normal float, each quotient is within 2^-53 of the exact one,
 //!   so a volume above `min × (1 + 2^-49)` cannot round to it and is not
 //!   divided; a zero, subnormal or infinite time takes the full scan;
+//! * a zero-length [`FluidSystem::advance`] drains nothing and needs no
+//!   rates: `(r − 0).max(0)` is `r` and the smallest volume does not move,
+//!   so it skips the solve and the drain and completes only the flows
+//!   already at ≤ [`EPS`], which depend on volumes alone. The rates stay
+//!   stale, and the next query solves from the same loads and capacities
+//!   the skipped solve would have used;
 //! * [`FluidSystem::total_rate_on`] equals the sum over the resource's flows
 //!   in slot order from `-0.0`. When every class on the resource has the
 //!   same rate bits, that sum is `k` sequential additions of the rate and no
@@ -854,7 +860,8 @@ impl FluidSystem {
 
     /// Advances time by `dt`, draining every flow at its current rate.
     /// Returns the `(id, tag)` of flows that completed, in slot order
-    /// (deterministic).
+    /// (deterministic). At `dt = 0` nothing drains and no rates are
+    /// solved: only the flows already at ≤ [`EPS`] complete.
     ///
     /// # Panics
     ///
@@ -879,15 +886,22 @@ impl FluidSystem {
             "advance needs a finite, non-negative dt, got {dt}"
         );
         done.clear();
-        self.ensure_rates();
+        // A zero-length advance drains nothing (`(r − 0).max(0)` is `r`), so
+        // it needs no rates: it only completes the flows already at ≤ `EPS`.
+        let drain = dt > 0.0;
+        if drain {
+            self.ensure_rates();
+        }
         for &c in &self.live {
             let class = &mut self.classes[c as usize];
-            let d = class.rate * dt;
-            for r in &mut class.remaining {
-                *r = (*r - d).max(0.0);
+            if drain {
+                let d = class.rate * dt;
+                for r in &mut class.remaining {
+                    *r = (*r - d).max(0.0);
+                }
+                // The drain is monotone, so the smallest volume stays smallest.
+                class.min_remaining = class.min_remaining.map(|m| (m - d).max(0.0));
             }
-            // The drain is monotone, so the smallest volume stays smallest.
-            class.min_remaining = class.min_remaining.map(|m| (m - d).max(0.0));
             if class.min_remaining.is_some_and(|m| m > EPS) {
                 continue;
             }
@@ -1380,6 +1394,58 @@ mod tests {
         assert_eq!(sys.advance(0.0), vec![(empty, 1)]);
         assert_eq!(sys.flow_remaining(busy), Some(80.0));
         assert_eq!(sys.next_completion(), Some((busy, 8.0)));
+    }
+
+    #[test]
+    fn a_zero_length_advance_completes_only_the_zero_volume_flows() {
+        let mut sys = FluidSystem::new();
+        let ps = sys.add_resource(150.0, "ps nic");
+        let mut sets: Vec<LinkSet> = (0..3)
+            .map(|j| {
+                let w = sys.add_resource(90.0 + 7.0 * j as f64, "worker nic");
+                sys.link_set(&[w, ps])
+            })
+            .collect();
+        let cpu = sys.add_resource(40.0, "ps cpu");
+        sets.push(sys.link_set(&[cpu]));
+        let flows: Vec<FlowId> = (0..12)
+            .map(|i| sys.start_flow_on(sets[i % 4], 20.0 + 3.5 * i as f64, i as u64))
+            .collect();
+        // Freed slots make the zero-volume flows land out of start order.
+        sys.cancel_flow(flows[2]);
+        sys.cancel_flow(flows[7]);
+        assert!(sys.advance(0.37).is_empty());
+        let live: Vec<FlowId> = flows
+            .iter()
+            .copied()
+            .filter(|&f| sys.flow_remaining(f).is_some())
+            .collect();
+        let bits = |sys: &mut FluidSystem| -> Vec<(u64, u64)> {
+            live.iter()
+                .map(|&f| {
+                    let rate = sys.flow_rate(f).unwrap();
+                    (rate.to_bits(), sys.flow_remaining(f).unwrap().to_bits())
+                })
+                .collect()
+        };
+        let before = bits(&mut sys);
+        let next = sys.next_completion().unwrap();
+
+        // No query between the starts and the advance: the rates are stale.
+        let zeros: Vec<(FlowId, u64)> = [(1, 100), (3, 101), (0, 102)]
+            .into_iter()
+            .map(|(set, tag)| (sys.start_flow_on(sets[set], 0.0, tag), tag))
+            .collect();
+        let mut expect = zeros.clone();
+        expect.sort_unstable_by_key(|(id, _)| id.idx);
+        assert_ne!(expect, zeros, "slot order differs from start order");
+        assert_eq!(sys.advance(0.0), expect);
+        assert_eq!(sys.active_flows(), live.len());
+        assert_eq!(bits(&mut sys), before);
+        assert_eq!(
+            sys.next_completion().map(|(id, dt)| (id, dt.to_bits())),
+            Some((next.0, next.1.to_bits()))
+        );
     }
 
     #[test]

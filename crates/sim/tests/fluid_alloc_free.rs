@@ -1,6 +1,7 @@
 //! A driving loop that keeps one completion buffer must not touch the heap
 //! per event: once the solver's tables have grown, cycles of
-//! `start_flow_on`, `next_completion` and `advance_into` allocate nothing.
+//! `start_flow_on`, `next_completion` and `advance_into`, zero-length
+//! advances included, allocate nothing.
 //!
 //! A counting global allocator keeps a per-thread tally, so allocations
 //! made by other threads of the test harness do not disturb the count.
@@ -64,6 +65,9 @@ struct Star {
     done: Vec<(FlowId, u64)>,
 }
 
+/// The tag of the zero-volume flow each event starts and completes at once.
+const MARKER: u64 = u64::MAX;
+
 /// Tags encode `(stage, worker, ps)`: stage 0 push, 1 apply, 2 pull.
 fn tag(stage: u64, j: usize, k: usize) -> u64 {
     (stage << 16) | ((j as u64) << 8) | k as u64
@@ -115,6 +119,12 @@ impl Star {
                 let (stage, j, k) = (t >> 16, (t >> 8) as usize & 0xff, t as usize & 0xff);
                 self.start((stage + 1) % 3, j, k);
             }
+            // A same-instant step on the rates the starts left stale: a
+            // zero-length advance completes just the zero-volume marker.
+            self.sys.start_flow_on(self.cpus[0], 0.0, MARKER);
+            self.sys.advance_into(0.0, &mut done);
+            assert_eq!(done.len(), 1, "only the marker is at zero");
+            assert_eq!(done[0].1, MARKER);
             self.done = done;
         }
     }
