@@ -12,8 +12,6 @@
 //! * [`billing`] — a per-second billing meter over launch/terminate events.
 //! * [`provisioner`] — a simulated provisioning API plus the
 //!   kubeadm-join-style cluster assembly used by the prototype (Sec. 5).
-//! * [`netperf`] — one-shot bandwidth measurement of a link, standing in
-//!   for the paper's use of the `netperf` tool.
 //! * [`spot`] — a deterministic spot market: per-type price traces and
 //!   seeded revocation processes for transient capacity.
 //!
@@ -27,7 +25,6 @@
 pub mod billing;
 pub mod catalog;
 pub mod instance;
-pub mod netperf;
 pub mod obs;
 pub mod provisioner;
 pub mod spot;

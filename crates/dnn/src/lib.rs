@@ -9,9 +9,11 @@
 //!    synthetic data and the integration tests fit the hyperbola to the
 //!    measured curve.
 //! 2. **ASP staleness slows convergence** — [`parallel`] implements an
-//!    actual in-memory parameter server with crossbeam worker threads in
-//!    BSP (barrier + aggregated apply) and ASP (lock-free cadence, real
-//!    staleness) modes, demonstrating the √n degradation Eq. (1) models.
+//!    actual in-memory parameter server whose workers run on seeded
+//!    virtual clocks in one loop, in BSP (aggregated apply per round) and
+//!    ASP (pushes applied in virtual-time order, real staleness) modes,
+//!    demonstrating the √n degradation Eq. (1) models. Staleness is a
+//!    function of the worker count and the seed.
 //!
 //! Everything is dependency-light and CPU-only: [`tensor::Matrix`] is a
 //! row-major `f32` matrix with the handful of BLAS-like kernels a

@@ -1,23 +1,27 @@
-//! A real in-memory parameter server with threaded workers.
+//! A real in-memory parameter server whose workers run on virtual clocks.
 //!
 //! This is the statistical companion to the discrete-event simulator: an
-//! actual data-parallel SGD implementation whose workers are OS threads
-//! (crossbeam scoped) sharing a parameter vector:
+//! actual data-parallel SGD implementation over one shared parameter
+//! vector, run as a single loop so that every output is a pure function of
+//! `(dims, data, cfg)`:
 //!
-//! * **BSP** — all workers compute gradients on disjoint minibatch shards,
-//!   meet at a barrier, and worker 0 applies the aggregated (averaged)
-//!   gradient — one global update per round, deterministic.
-//! * **ASP** — workers pull, compute, and apply independently under a
-//!   mutex; the *real* parameter staleness of every update is recorded.
-//!   This is the mechanism behind the paper's √n convergence penalty
-//!   (Summary 2 / Eq. 1).
+//! * **BSP** — each round, all workers compute gradients on disjoint
+//!   minibatch shards of the same parameters, and the averaged gradient is
+//!   applied in worker order: one global update per round.
+//! * **ASP** — each worker pulls the current parameters, computes its
+//!   gradient and pushes it after a virtual compute time drawn from its own
+//!   seeded clock. The server applies pushes in virtual-time order and
+//!   records the *real* parameter staleness of every update, so staleness
+//!   is a function of `(n, seed)`. This is the mechanism behind the paper's
+//!   √n convergence penalty (Summary 2 / Eq. 1).
 
 use crate::data::Blobs;
 use crate::network::Mlp;
-use parking_lot::Mutex;
-use std::sync::Barrier;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
-/// Synchronization mode of the threaded trainer.
+/// Synchronization mode of the parameter-server trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PsMode {
     Bsp,
@@ -37,7 +41,7 @@ pub struct PsTrainConfig {
     pub seed: u64,
 }
 
-/// Outcome of a threaded PS run.
+/// Outcome of a parameter-server run.
 #[derive(Debug, Clone)]
 pub struct PsOutcome {
     /// `(global update, minibatch loss at that update)` in commit order.
@@ -67,142 +71,116 @@ impl PsOutcome {
     }
 }
 
-struct PsState {
-    params: Vec<f32>,
-    version: u64,
-    loss_curve: Vec<(u64, f64)>,
-    staleness: Vec<u64>,
-}
-
 /// Trains an MLP with the given layer `dims` on `data` using `cfg.n_workers`
-/// real worker threads against a shared parameter server.
+/// workers against one parameter server.
 pub fn train_parameter_server(dims: &[usize], data: &Blobs, cfg: &PsTrainConfig) -> PsOutcome {
     assert!(cfg.n_workers >= 1, "need at least one worker");
     assert!(cfg.iterations >= 1);
-    let template = Mlp::new(dims, cfg.seed);
+    let net = Mlp::new(dims, cfg.seed);
     match cfg.mode {
-        PsMode::Bsp => train_bsp(template, data, cfg),
-        PsMode::Asp => train_asp(template, data, cfg),
+        PsMode::Bsp => train_bsp(net, data, cfg),
+        PsMode::Asp => train_asp(net, data, cfg),
     }
 }
 
-fn train_bsp(template: Mlp, data: &Blobs, cfg: &PsTrainConfig) -> PsOutcome {
+fn train_bsp(mut net: Mlp, data: &Blobs, cfg: &PsTrainConfig) -> PsOutcome {
     let n = cfg.n_workers;
-    let barrier = Barrier::new(n);
-    let grads: Vec<Mutex<Vec<f32>>> = (0..n)
-        .map(|_| Mutex::new(vec![0.0f32; template.param_count()]))
+    let mut params = net.params().to_vec();
+    let mut loss_curve = Vec::with_capacity(cfg.iterations as usize);
+    for step in 0..cfg.iterations {
+        // Every worker computes on the round's parameters (held by `net`);
+        // the gradients are aggregated into `params` in worker order.
+        net.set_params(&params);
+        let mut mean_loss = 0.0f64;
+        for j in 0..n {
+            let (x, y) = data.worker_batch(j, n, step as usize, cfg.batch);
+            let (loss, g) = net.loss_and_grad(&x, &y);
+            for (p, gi) in params.iter_mut().zip(&g) {
+                *p -= cfg.lr * gi / n as f32;
+            }
+            mean_loss += loss as f64 / n as f64;
+        }
+        loss_curve.push((step + 1, mean_loss));
+    }
+    PsOutcome {
+        loss_curve,
+        staleness: Vec::new(),
+        params,
+    }
+}
+
+/// Virtual compute time of one ASP step, drawn uniformly per step. Equal
+/// means model a homogeneous cluster; the spread lets workers drift out of
+/// lockstep, so pushes interleave as they do on real machines and a push
+/// misses about `n - 1` others. A constant would keep the workers in
+/// lockstep and make the commit order a pure round-robin.
+const STEP_TIME: Range<f64> = 0.5..1.5;
+
+/// An ASP worker and the gradient it holds until its virtual finish.
+struct Worker {
+    /// Step-time source, keyed by `(seed, worker index)`.
+    clock: SmallRng,
+    /// Minibatches consumed so far.
+    step: usize,
+    /// Virtual time at which the held gradient is pushed.
+    finish: f64,
+    /// Parameter version the held gradient was computed on.
+    pulled: u64,
+    loss: f32,
+    grad: Vec<f32>,
+}
+
+fn train_asp(mut net: Mlp, data: &Blobs, cfg: &PsTrainConfig) -> PsOutcome {
+    let n = cfg.n_workers;
+    let mut params = net.params().to_vec();
+    let mut loss_curve = Vec::with_capacity(cfg.iterations as usize);
+    let mut staleness = Vec::with_capacity(cfg.iterations as usize);
+    // Worker `j` pulls `params` (version `version`) at virtual time `now`
+    // and computes its next gradient on them.
+    let mut pull = |j: usize, w: &mut Worker, now: f64, params: &[f32], version: u64| {
+        net.set_params(params);
+        let (x, y) = data.worker_batch(j, n, w.step, cfg.batch);
+        (w.loss, w.grad) = net.loss_and_grad(&x, &y);
+        w.step += 1;
+        w.pulled = version;
+        w.finish = now + w.clock.gen_range(STEP_TIME);
+    };
+    let mut workers: Vec<Worker> = (0..n)
+        .map(|j| {
+            let key = (j as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut w = Worker {
+                clock: SmallRng::seed_from_u64(cfg.seed ^ key),
+                step: 0,
+                finish: 0.0,
+                pulled: 0,
+                loss: 0.0,
+                grad: Vec::new(),
+            };
+            pull(j, &mut w, 0.0, &params, 0);
+            w
+        })
         .collect();
-    let losses: Vec<Mutex<f32>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-    let state = Mutex::new(PsState {
-        params: template.params().to_vec(),
-        version: 0,
-        loss_curve: Vec::new(),
-        staleness: Vec::new(),
-    });
-
-    crossbeam::thread::scope(|scope| {
-        for j in 0..n {
-            let barrier = &barrier;
-            let grads = &grads;
-            let losses = &losses;
-            let state = &state;
-            let template = &template;
-            scope.spawn(move |_| {
-                let mut net = template.clone();
-                for step in 0..cfg.iterations {
-                    {
-                        let s = state.lock();
-                        net.set_params(&s.params);
-                    }
-                    let (x, y) = data.worker_batch(j, n, step as usize, cfg.batch);
-                    let (loss, g) = net.loss_and_grad(&x, &y);
-                    *grads[j].lock() = g;
-                    *losses[j].lock() = loss;
-                    barrier.wait();
-                    if j == 0 {
-                        // Deterministic aggregation in worker order.
-                        let mut s = state.lock();
-                        let mut mean_loss = 0.0f64;
-                        for w in 0..n {
-                            let g = grads[w].lock();
-                            for (p, gi) in s.params.iter_mut().zip(g.iter()) {
-                                *p -= cfg.lr * gi / n as f32;
-                            }
-                            mean_loss += *losses[w].lock() as f64 / n as f64;
-                        }
-                        s.version += 1;
-                        let v = s.version;
-                        s.loss_curve.push((v, mean_loss));
-                    }
-                    barrier.wait();
-                }
-            });
+    for version in 1..=cfg.iterations {
+        // Earliest finish first; `min_by` keeps the lowest index on ties.
+        let (j, w) = workers
+            .iter_mut()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.finish.total_cmp(&b.finish))
+            .expect("at least one worker");
+        for (p, gi) in params.iter_mut().zip(&w.grad) {
+            *p -= cfg.lr * gi;
         }
-    })
-    .expect("a BSP worker thread panicked");
-
-    let s = state.into_inner();
-    PsOutcome {
-        loss_curve: s.loss_curve,
-        staleness: s.staleness,
-        params: s.params,
+        staleness.push(version - 1 - w.pulled);
+        loss_curve.push((version, w.loss as f64));
+        if version < cfg.iterations {
+            let now = w.finish;
+            pull(j, w, now, &params, version);
+        }
     }
-}
-
-fn train_asp(template: Mlp, data: &Blobs, cfg: &PsTrainConfig) -> PsOutcome {
-    let n = cfg.n_workers;
-    let state = Mutex::new(PsState {
-        params: template.params().to_vec(),
-        version: 0,
-        loss_curve: Vec::new(),
-        staleness: Vec::new(),
-    });
-
-    crossbeam::thread::scope(|scope| {
-        for j in 0..n {
-            let state = &state;
-            let template = &template;
-            scope.spawn(move |_| {
-                let mut net = template.clone();
-                let mut step = 0usize;
-                loop {
-                    // Pull.
-                    let seen = {
-                        let s = state.lock();
-                        if s.version >= cfg.iterations {
-                            break;
-                        }
-                        net.set_params(&s.params);
-                        s.version
-                    };
-                    // Compute on this worker's shard.
-                    let (x, y) = data.worker_batch(j, n, step, cfg.batch);
-                    step += 1;
-                    let (loss, g) = net.loss_and_grad(&x, &y);
-                    // Push: apply whatever the current parameters are.
-                    let mut s = state.lock();
-                    if s.version >= cfg.iterations {
-                        break;
-                    }
-                    for (p, gi) in s.params.iter_mut().zip(&g) {
-                        *p -= cfg.lr * gi;
-                    }
-                    let stale = s.version - seen;
-                    s.version += 1;
-                    let v = s.version;
-                    s.staleness.push(stale);
-                    s.loss_curve.push((v, loss as f64));
-                }
-            });
-        }
-    })
-    .expect("an ASP worker thread panicked");
-
-    let s = state.into_inner();
     PsOutcome {
-        loss_curve: s.loss_curve,
-        staleness: s.staleness,
-        params: s.params,
+        loss_curve,
+        staleness,
+        params,
     }
 }
 
@@ -225,12 +203,23 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bits of `params`.
+    fn digest(params: &[f32]) -> u64 {
+        params
+            .iter()
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
     #[test]
     fn bsp_converges_and_is_deterministic() {
         let data = blobs();
         let a = train_parameter_server(&[12, 24, 4], &data, &cfg(PsMode::Bsp, 4, 150));
-        let b = train_parameter_server(&[12, 24, 4], &data, &cfg(PsMode::Bsp, 4, 150));
-        assert_eq!(a.params, b.params, "BSP must be deterministic");
+        // Pinned to the bits of the earlier threaded implementation, which
+        // the single loop reproduces exactly.
+        assert_eq!(digest(&a.params), 0x4118_0164_fd13_be75);
         assert_eq!(a.loss_curve.len(), 150);
         assert!(a.tail_loss(20) < a.loss_curve[0].1 * 0.5);
         assert!(a.staleness.is_empty());
@@ -258,6 +247,22 @@ mod tests {
         assert_eq!(out.loss_curve.len(), 200);
         assert_eq!(out.staleness.len(), 200);
         assert!(out.tail_loss(30) < out.loss_curve[0].1, "still converges");
+        let again = train_parameter_server(&[12, 24, 4], &data, &cfg(PsMode::Asp, 4, 200));
+        assert_eq!(out.params, again.params, "ASP must be deterministic");
+        assert_eq!(out.staleness, again.staleness);
+        assert_eq!(out.loss_curve, again.loss_curve);
+    }
+
+    #[test]
+    fn asp_with_one_worker_is_bsp() {
+        // One worker never misses an update, and dividing its gradient by
+        // `1.0` is exact, so both modes take the same steps bit for bit.
+        let data = blobs();
+        let asp = train_parameter_server(&[12, 24, 4], &data, &cfg(PsMode::Asp, 1, 120));
+        let bsp = train_parameter_server(&[12, 24, 4], &data, &cfg(PsMode::Bsp, 1, 120));
+        assert_eq!(asp.params, bsp.params);
+        assert_eq!(asp.loss_curve, bsp.loss_curve);
+        assert_eq!(asp.staleness, vec![0; 120]);
     }
 
     #[test]

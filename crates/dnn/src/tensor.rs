@@ -72,11 +72,6 @@ impl Matrix {
         &self.data
     }
 
-    /// The backing slice, mutable.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// `self · other` (ikj order).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");

@@ -116,12 +116,6 @@ pub struct ElasticReport {
 }
 
 impl ElasticReport {
-    /// Fractional saving of the realized cost over the all-on-demand
-    /// baseline (negative when disruptions made the run *more* expensive).
-    pub fn savings_vs_on_demand(&self) -> f64 {
-        1.0 - self.realized_cost / self.on_demand_baseline_cost
-    }
-
     pub fn shrinks(&self) -> usize {
         self.timeline
             .iter()

@@ -230,11 +230,6 @@ impl Tracer {
         }
     }
 
-    /// Number of open spans on `track` right now.
-    pub fn open_depth(&self, track: &str) -> usize {
-        self.inner.lock().stack_mut(track).len()
-    }
-
     /// Takes all finished spans (completion order), leaving open spans
     /// untouched and resetting the drop counter.
     pub fn drain(&self) -> Vec<SpanRecord> {

@@ -1,7 +1,7 @@
 //! Validates the paper's statistical premises (Summary 2 / Eq. 1) against
-//! *real* SGD: the `cynthia-dnn` threaded parameter server trains actual
-//! MLPs, and the measured loss curves are fitted with the same
-//! `FittedLossModel` the provisioner uses.
+//! *real* SGD: the `cynthia-dnn` parameter server trains actual MLPs, and
+//! the measured loss curves are fitted with the same `FittedLossModel` the
+//! provisioner uses.
 
 use cynthia::dnn::{train_parameter_server, Blobs, PsMode, PsTrainConfig};
 use cynthia::prelude::*;
@@ -63,8 +63,10 @@ fn real_asp_staleness_slows_convergence_per_update() {
     // higher loss. The comparison must happen *mid-descent*: by the time
     // both configurations have fully converged, their tail losses differ
     // only by minibatch noise and the staleness penalty is invisible. Run
-    // several seeds and require the ordering to hold on average —
-    // individual thread interleavings are nondeterministic.
+    // several seeds and require the ordering to hold on average: each
+    // seed fixes one commit order (staleness is a function of the worker
+    // count and the seed), and a single order's minibatch noise can
+    // outweigh the penalty.
     let data = dataset();
     let run = |n: usize, seed: u64| {
         train_parameter_server(
