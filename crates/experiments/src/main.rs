@@ -1,115 +1,111 @@
 //! `cynthia-exp` — regenerate any table or figure of the Cynthia paper.
 //!
 //! ```text
-//! cynthia-exp <experiment> [--quick] [--json]
-//! cynthia-exp all [--quick]
+//! cynthia-exp <experiment|all> [--quick] [--json]
 //! ```
 //!
-//! Experiments: table1, fig1, table2, fig2, fig3, fig4, table4, fig6,
-//! fig7, fig8, fig9, fig10, fig11, fig12, fig13, overhead.
+//! Experiments, in the order `all` runs them: table1, fig1, table2, fig2,
+//! fig3, fig4, table4, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13,
+//! overhead, ablations, gpu, fleet, sensitivity, ssp. `all --json` prints
+//! one JSON object keyed by experiment name.
 
 use cynthia_experiments::*;
+use serde_json::Value;
+
+/// An experiment's result, rendered as text and lowered to JSON.
+struct Output {
+    text: String,
+    json: Value,
+}
+
+/// Runs one experiment on a configuration.
+type Run = fn(&ExpConfig) -> Output;
+
+/// `(name, run)` pairs, each `run` rendering and lowering its result.
+macro_rules! experiments {
+    ($($name:literal => $run:expr),* $(,)?) => {
+        [$(($name, |cfg| {
+            let result = $run(cfg);
+            Output {
+                text: result.render(),
+                json: serde_json::to_value(&result).expect("experiment results serialize"),
+            }
+        })),*]
+    };
+}
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Run); 21] = experiments! {
+    "table1" => |_| table1::run(),
+    "fig1" => fig1::run,
+    "table2" => table2::run,
+    "fig2" => fig2::run,
+    "fig3" => fig3::run,
+    "fig4" => fig4::run,
+    "table4" => table4::run,
+    "fig6" => fig6::run,
+    "fig7" => fig7::run,
+    "fig8" => fig8::run,
+    "fig9" => fig9::run,
+    "fig10" => fig10::run,
+    "fig11" => fig11::run,
+    "fig12" => fig12::run,
+    "fig13" => fig13::run,
+    "overhead" => overhead::run,
+    "ablations" => ablations::run,
+    "gpu" => extension_gpu::run,
+    "fleet" => fleet::run,
+    "sensitivity" => sensitivity::run,
+    "ssp" => ssp::run,
+};
 
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: cynthia-exp <experiment|all> [--quick] [--json]\n\
-         experiments: table1 fig1 table2 fig2 fig3 fig4 table4 fig6 fig7\n\
-         \u{20}            fig8 fig9 fig10 fig11 fig12 fig13 overhead ablations gpu fleet sensitivity ssp"
+        "usage: cynthia-exp <experiment|all> [--quick] [--json]\nexperiments: {}",
+        names.join(" ")
     );
     std::process::exit(2)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let name = args[0].as_str();
-    let quick = args.iter().any(|a| a == "--quick");
+    let Some(name) = args.first() else { usage() };
     let json = args.iter().any(|a| a == "--json");
-    let cfg = if quick {
+    let cfg = if args.iter().any(|a| a == "--quick") {
         ExpConfig::quick()
     } else {
         ExpConfig::default()
     };
 
-    let run_one = |name: &str| -> Option<(String, String)> {
-        macro_rules! exp {
-            ($module:ident, $runner:expr) => {{
-                let result = $runner;
-                let rendered = result.render();
-                let as_json =
-                    serde_json::to_string_pretty(&result).expect("experiment results serialize");
-                Some((rendered, as_json))
-            }};
-        }
-        match name {
-            "table1" => exp!(table1, table1::run()),
-            "ablations" => exp!(ablations, ablations::run(&cfg)),
-            "gpu" => exp!(extension_gpu, extension_gpu::run(&cfg)),
-            "fleet" => exp!(fleet, fleet::run(&cfg)),
-            "sensitivity" => exp!(sensitivity, sensitivity::run(&cfg)),
-            "ssp" => exp!(ssp, ssp::run(&cfg)),
-            "fig1" => exp!(fig1, fig1::run(&cfg)),
-            "table2" => exp!(table2, table2::run(&cfg)),
-            "fig2" => exp!(fig2, fig2::run(&cfg)),
-            "fig3" => exp!(fig3, fig3::run(&cfg)),
-            "fig4" => exp!(fig4, fig4::run(&cfg)),
-            "table4" => exp!(table4, table4::run(&cfg)),
-            "fig6" => exp!(fig6, fig6::run(&cfg)),
-            "fig7" => exp!(fig7, fig7::run(&cfg)),
-            "fig8" => exp!(fig8, fig8::run(&cfg)),
-            "fig9" => exp!(fig9, fig9::run(&cfg)),
-            "fig10" => exp!(fig10, fig10::run(&cfg)),
-            "fig11" => exp!(fig11, fig11::run(&cfg)),
-            "fig12" => exp!(fig12, fig12::run(&cfg)),
-            "fig13" => exp!(fig13, fig13::run(&cfg)),
-            "overhead" => exp!(overhead, overhead::run(&cfg)),
-            _ => None,
-        }
-    };
-
-    let all = [
-        "table1",
-        "fig1",
-        "table2",
-        "fig2",
-        "fig3",
-        "fig4",
-        "table4",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "overhead",
-        "ablations",
-        "gpu",
-        "fleet",
-        "sensitivity",
-        "ssp",
-    ];
-
     if name == "all" {
-        for exp in all {
+        let mut results = Vec::new();
+        for (exp, run) in EXPERIMENTS {
             eprintln!("== running {exp} ==");
-            let (rendered, _) = run_one(exp).expect("known experiment");
-            println!("{rendered}");
+            let out = run(&cfg);
+            if json {
+                results.push((exp.to_string(), out.json));
+            } else {
+                println!("{}", out.text);
+            }
+        }
+        if json {
+            println!("{}", pretty(&Value::Object(results)));
         }
         return;
     }
 
-    match run_one(name) {
-        Some((rendered, as_json)) => {
-            if json {
-                println!("{as_json}");
-            } else {
-                println!("{rendered}");
-            }
-        }
-        None => usage(),
+    let Some((_, run)) = EXPERIMENTS.iter().find(|(exp, _)| exp == name) else {
+        usage()
+    };
+    let out = run(&cfg);
+    if json {
+        println!("{}", pretty(&out.json));
+    } else {
+        println!("{}", out.text);
     }
+}
+
+fn pretty(value: &Value) -> String {
+    serde_json::to_string_pretty(value).expect("JSON values serialize")
 }

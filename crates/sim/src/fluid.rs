@@ -80,16 +80,24 @@
 //!   so a class's smallest volume stays its smallest through a drain and
 //!   gives its earliest completion. The solve computes that completion as it
 //!   freezes each class (every class with flows is frozen exactly once per
-//!   solve) and keeps the earliest time and the classes that reach it;
-//!   [`FluidSystem::next_completion`] then picks, among those classes, the
+//!   solve) and keeps the earliest time and the classes that reach it.
+//!   [`FluidSystem::next_completion_time`] returns that time, or `None` when
+//!   no class reaches it, and searches no slot: the minimum over classes of
+//!   each class's minimum is the minimum a slot walk finds.
+//!   [`FluidSystem::next_completion`] also picks, among those classes, the
 //!   lowest slot whose own quotient equals it, which is what a slot walk
-//!   picks. A drain moves the volumes, so [`FluidSystem::advance`] marks the
-//!   rates stale and the next query re-solves: equal loads and capacities
-//!   give the same rates and bits, and neither class index nor class order
-//!   enters the arithmetic. When that
-//!   time is a normal float, each quotient is within 2^-53 of the exact one,
-//!   so a volume above `min × (1 + 2^-49)` cannot round to it and is not
-//!   divided; a zero, subnormal or infinite time takes the full scan;
+//!   picks. When that time is a normal float, each quotient is within
+//!   2^-53 of the exact one, so a volume above `min × (1 + 2^-49)` cannot
+//!   round to it and is not divided; a zero, subnormal or infinite time
+//!   takes the full scan. A drain moves the volumes, so
+//!   [`FluidSystem::advance`] marks the rates stale and the next query
+//!   re-solves: equal loads and capacities give the same rates and bits,
+//!   and neither class index nor class order enters the arithmetic;
+//! * the walk in [`FluidSystem::advance`] that collects a class's completed
+//!   flows also folds the smallest volume of the flows that remain, and
+//!   stores it once they are released. `f64::min` over the same positive
+//!   volumes gives the same bits in any order, so it is the fold a rescan
+//!   would make; a class rescans only after its smallest flow is cancelled;
 //! * a zero-length [`FluidSystem::advance`] drains nothing and needs no
 //!   rates: `(r − 0).max(0)` is `r` and the smallest volume does not move,
 //!   so it skips the solve and the drain and completes only the flows
@@ -257,7 +265,7 @@ struct Class {
     /// Slot index of each flow.
     slots: Vec<u32>,
     /// The smallest of `remaining`; `None` until rescanned after the flow
-    /// holding it left.
+    /// holding it was cancelled.
     min_remaining: Option<f64>,
     /// Position in [`FluidSystem::live`] while the class has flows.
     live_pos: u32,
@@ -367,6 +375,8 @@ pub struct FluidSystem {
     /// that reach it.
     best: Time,
     tied: Vec<u32>,
+    /// The classes an advance walked, with their survivors' smallest volume.
+    survivors: Vec<(u32, f64)>,
     crossing: Vec<(u32, f64)>,
     repeat_sums: RepeatSums,
 }
@@ -853,9 +863,16 @@ impl FluidSystem {
         }
     }
 
+    /// The time of [`FluidSystem::next_completion`] without picking the
+    /// flow: the solve's earliest completion, if a class reaches it.
+    pub fn next_completion_time(&mut self) -> Option<Time> {
+        self.ensure_rates();
+        (!self.tied.is_empty()).then_some(self.best)
+    }
+
     /// True if there are active flows but none can progress.
     pub fn is_stalled(&mut self) -> bool {
-        self.active > 0 && self.next_completion().is_none()
+        self.active > 0 && self.next_completion_time().is_none()
     }
 
     /// Advances time by `dt`, draining every flow at its current rate.
@@ -886,6 +903,7 @@ impl FluidSystem {
             "advance needs a finite, non-negative dt, got {dt}"
         );
         done.clear();
+        self.survivors.clear();
         // A zero-length advance drains nothing (`(r − 0).max(0)` is `r`), so
         // it needs no rates: it only completes the flows already at ≤ `EPS`.
         let drain = dt > 0.0;
@@ -905,18 +923,28 @@ impl FluidSystem {
             if class.min_remaining.is_some_and(|m| m > EPS) {
                 continue;
             }
+            // The walk that collects the completions also folds the
+            // survivors' smallest volume, so the releases below, which take
+            // the class's minimum, need no rescan.
+            let mut min = f64::INFINITY;
             for (&r, &s) in class.remaining.iter().zip(&class.slots) {
                 if r <= EPS {
                     let Slot::Occupied { gen, tag, .. } = self.slots[s as usize] else {
                         unreachable!("a class holds only live slots");
                     };
                     done.push((FlowId { idx: s, gen }, tag));
+                } else {
+                    min = min.min(r);
                 }
             }
+            self.survivors.push((c, min));
         }
         done.sort_unstable_by_key(|(id, _)| id.idx);
         for (id, _) in done.iter() {
             self.release(id.idx);
+        }
+        for &(c, min) in &self.survivors {
+            self.classes[c as usize].min_remaining = Some(min);
         }
         // The volumes moved, so the completion search is stale: the next
         // query re-solves, and equal loads and capacities give equal rates.
@@ -999,6 +1027,24 @@ mod tests {
         // 500 - 50 already moved = 450 left at 100/s.
         let (_, dt2) = sys.next_completion().unwrap();
         assert!(approx(dt2, 4.5));
+    }
+
+    #[test]
+    fn a_completion_leaves_the_survivors_minimum_known() {
+        let mut sys = FluidSystem::new();
+        let r = sys.add_resource(10.0, "link");
+        for (tag, volume) in [(0, 30.0), (1, 10.0), (2, 20.0)] {
+            sys.start_flow(FlowSpec::new(vec![r], volume, tag));
+        }
+        let dt = sys.next_completion_time().unwrap();
+        assert_eq!(sys.advance(dt).len(), 1);
+        let class = &sys.classes[sys.live[0] as usize];
+        let fresh = class
+            .remaining
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(class.min_remaining.map(f64::to_bits), Some(fresh.to_bits()));
     }
 
     #[test]

@@ -299,8 +299,26 @@ impl Pair {
 
     /// Compares every observable: rates and remaining volumes of every id
     /// ever handed out (stale ones must be gone in both), and every total.
+    /// Every cached class minimum must equal a fresh fold of its volumes.
     fn check(&mut self) -> Result<(), TestCaseError> {
         prop_assert_eq!(self.sys.active_flows(), self.oracle.flows().count());
+        for &c in &self.sys.live {
+            let class = &self.sys.classes[c as usize];
+            if let Some(min) = class.min_remaining {
+                let fresh = class
+                    .remaining
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                prop_assert!(
+                    same(min, fresh),
+                    "minimum of class {}: {} vs {}",
+                    c,
+                    min,
+                    fresh
+                );
+            }
+        }
         for &id in &self.ids {
             let (a, b) = (self.sys.flow_rate(id), self.oracle.flow_rate(id));
             prop_assert_eq!(a.is_some(), b.is_some(), "liveness of {:?}", id);
@@ -323,8 +341,13 @@ impl Pair {
         Ok(())
     }
 
+    /// Compares the next completion, and its time alone as the engine asks
+    /// for it: the same bits, or `None` when empty or stalled, in both.
     fn same_next_completion(&mut self) -> Result<(), TestCaseError> {
-        let (a, b) = (self.sys.next_completion(), self.oracle.next_completion());
+        let b = self.oracle.next_completion();
+        let time = self.sys.next_completion_time();
+        prop_assert_eq!(time.map(f64::to_bits), b.map(|(_, dt)| dt.to_bits()));
+        let a = self.sys.next_completion();
         prop_assert_eq!(
             a.map(|(id, dt)| (id, dt.to_bits())),
             b.map(|(id, dt)| (id, dt.to_bits()))
@@ -536,6 +559,22 @@ fn a_saturated_ps_nic_beside_filling_worker_nics_matches_the_oracle() {
     assert_eq!(pair.sys.used[r[3].0 as usize].to_bits(), 0.0f64.to_bits());
     assert!(pair.sys.used[r[0].0 as usize] > 0.0);
     replay(pair, Vec::new()).unwrap();
+}
+
+#[test]
+fn empty_stalled_and_infinite_completions_match_the_oracle() {
+    let mut pair = Pair::new(&[0.5]);
+    pair.patterns.push(vec![pair.rids[0]]);
+    pair.same_next_completion().unwrap();
+    // `f64::MAX` MB at 0.5 MB/s completes at an infinite time, which is
+    // still a completion; at capacity 0 the flow is stalled.
+    pair.start(0, f64::MAX, true);
+    assert_eq!(pair.sys.next_completion_time(), Some(f64::INFINITY));
+    pair.same_next_completion().unwrap();
+    pair.sys.set_capacity(pair.rids[0], 0.0).unwrap();
+    pair.oracle.set_capacity(pair.rids[0], 0.0);
+    assert!(pair.sys.is_stalled());
+    pair.same_next_completion().unwrap();
 }
 
 proptest! {

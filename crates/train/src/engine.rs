@@ -582,32 +582,24 @@ impl<'a> Engine<'a> {
             let fc = if tq == Some(now) {
                 None
             } else {
-                self.fluid.next_completion()
+                self.fluid.next_completion_time()
             };
             match (tq, fc) {
-                (None, None) => panic!(
+                (_, Some(dt)) if tq.is_none_or(|tq| now + dt < tq - cynthia_sim::EPS) => {
+                    self.advance_fluid(dt, now + dt);
+                }
+                (Some(tq), _) => {
+                    self.advance_fluid(tq - now, tq);
+                    if let Some((_, ev)) = self.queue.pop() {
+                        self.on_event(ev);
+                    }
+                }
+                // With no queue event the fluid arm took any completion.
+                (None, _) => panic!(
                     "simulation stalled at t={now}: {} iterations of {} done",
                     self.progress(),
                     self.target
                 ),
-                (Some(tq), fc) => {
-                    let fluid_first = match fc {
-                        Some((_, dt)) => now + dt < tq - cynthia_sim::EPS,
-                        None => false,
-                    };
-                    if fluid_first {
-                        let dt = fc.unwrap().1;
-                        self.advance_fluid(dt, now + dt);
-                    } else {
-                        self.advance_fluid(tq - now, tq);
-                        if let Some((_, ev)) = self.queue.pop() {
-                            self.on_event(ev);
-                        }
-                    }
-                }
-                (None, Some((_, dt))) => {
-                    self.advance_fluid(dt, now + dt);
-                }
             }
         }
         let end = self.done_time.unwrap_or_else(|| self.queue.now());
