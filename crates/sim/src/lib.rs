@@ -9,8 +9,8 @@
 //!   solved by progressive filling (water-filling).
 //! * [`hash::KeyMap`] — a hash map on a fast multiply-rotate hasher for the
 //!   simulator's integer-keyed hot maps.
-//! * [`metrics`] — busy-time utilization tracking, throughput time series,
-//!   and summary statistics.
+//! * [`metrics`] — throughput time series summed per window, and summary
+//!   statistics.
 //! * [`rng`] — deterministic seed derivation and log-normal jitter so every
 //!   simulation is reproducible from a single master seed.
 //!

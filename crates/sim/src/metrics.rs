@@ -1,148 +1,103 @@
-//! Measurement plumbing for simulations: time-weighted utilization,
-//! throughput time series, and summary statistics.
+//! Measurement plumbing for simulations: throughput time series and
+//! summary statistics.
 
 use crate::Time;
 use serde::{Deserialize, Serialize};
 
-/// Errors from the measurement trackers (same non-panicking convention as
-/// `cynthia_cloud::BillingError`: callers decide whether a violation is a
-/// bug or recoverable).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MetricsError {
-    /// An update arrived with a timestamp before the previous one.
-    OutOfOrder {
-        /// Timestamp of the rejected update.
-        t: Time,
-        /// Timestamp of the latest accepted update.
-        since: Time,
-    },
-}
-
-impl std::fmt::Display for MetricsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetricsError::OutOfOrder { t, since } => {
-                write!(f, "utilization update out of order: {t} < {since}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MetricsError {}
-
-/// Integrates a piecewise-constant utilization level over virtual time.
-///
-/// The Cynthia paper reports *average CPU utilization* of PS nodes and
-/// workers (Table 2): the time integral of the instantaneous utilization
-/// divided by elapsed time. `UtilizationTracker` records level changes and
-/// produces that average for any observation window.
-#[derive(Debug, Clone)]
-pub struct UtilizationTracker {
-    /// Time at which the current level became active.
-    since: Time,
-    level: f64,
-    /// Accumulated integral of level over [start, since].
-    integral: f64,
-    start: Time,
-}
-
-impl UtilizationTracker {
-    /// Starts tracking at `t0` with utilization 0.
-    pub fn new(t0: Time) -> Self {
-        UtilizationTracker {
-            since: t0,
-            level: 0.0,
-            integral: 0.0,
-            start: t0,
-        }
-    }
-
-    /// Records that the utilization level changed to `level` at time `t`.
-    ///
-    /// # Errors
-    /// [`MetricsError::OutOfOrder`] when `t` precedes the previous update
-    /// (beyond the simulator's `EPS` slack); the tracker state is left
-    /// untouched, matching the non-panicking `BillingMeter` convention.
-    pub fn set_level(&mut self, t: Time, level: f64) -> Result<(), MetricsError> {
-        if t < self.since - crate::EPS {
-            return Err(MetricsError::OutOfOrder {
-                t,
-                since: self.since,
-            });
-        }
-        let dt = (t - self.since).max(0.0);
-        self.integral += self.level * dt;
-        self.since = t;
-        self.level = level;
-        Ok(())
-    }
-
-    /// The current instantaneous level.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
-    /// Average utilization over `[start, t]`.
-    pub fn average_until(&self, t: Time) -> f64 {
-        let total = t - self.start;
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let tail = self.level * (t - self.since).max(0.0);
-        (self.integral + tail) / total
-    }
-}
-
-/// Accumulates transferred volume and buckets it into a rate time series.
+/// Transferred volume summed per time window, for a rate time series.
 ///
 /// Used to reproduce Figs. 2 and 7 (PS network throughput over time).
-#[derive(Debug, Clone, Default)]
+/// Each [`record_interval`](Self::record_interval) adds its volume to the
+/// window that holds the interval's midpoint, so memory is one `f64` per
+/// window up to the latest one recorded, whatever the number of calls.
+///
+/// [`series`](Self::series) and [`mean_rate`](Self::mean_rate) are bit for
+/// bit what bucketing a list of every `(midpoint, volume)` sample at the
+/// end would give (the sample-list recorder kept as this module's test
+/// oracle):
+/// - a sample goes to window `(t / window) as usize`, and each window's sum
+///   is the same f64 additions in record order, from `0.0`;
+/// - with `n = ceil(horizon / window)` windows in the series, a sample in
+///   window `n` or later is folded into window `n − 1` in record order.
+///   Every interval ends by the horizon (give or take the rounding of its
+///   end time) and f64 division is monotone, so only window `n` can be
+///   past the end: the recorder keeps the top two windows' sum in record
+///   order for that fold;
+/// - the total starts at `-0.0`, the empty sum of `Iterator::sum`, so an
+///   idle recorder's mean rate is `-0.0`.
+#[derive(Debug, Clone)]
 pub struct ThroughputRecorder {
-    /// `(time, volume)` increments in non-decreasing time order.
-    samples: Vec<(Time, f64)>,
+    window: Time,
+    /// Volume per window, in record order; the last entry is the highest
+    /// window recorded so far.
+    sums: Vec<f64>,
+    /// The top two windows' volume added in record order, starting from
+    /// the lower one's sum when the top one was opened. It is the last
+    /// window of a series whose horizon ends where the top window starts.
+    top_two: f64,
+    total: f64,
 }
 
 impl ThroughputRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty recorder bucketing by `window` seconds.
+    ///
+    /// # Panics
+    /// Panics unless `window` is finite and positive.
+    pub fn new(window: Time) -> Self {
+        assert!(
+            window.is_finite() && window > 0.0,
+            "throughput window must be finite and positive, got {window}"
+        );
+        ThroughputRecorder {
+            window,
+            sums: Vec::new(),
+            top_two: 0.0,
+            total: -0.0,
+        }
     }
 
     /// Records that `volume` (MB) finished transferring during the interval
-    /// ending at `t` with duration `dt`; the volume is spread uniformly over
-    /// the interval when bucketing.
+    /// ending at `t_end` with duration `dt`; the volume is counted at the
+    /// interval's midpoint. Volumes `<= 0` are ignored.
     pub fn record_interval(&mut self, t_end: Time, dt: Time, volume: f64) {
         if volume <= 0.0 {
             return;
         }
-        if dt <= 0.0 {
-            self.samples.push((t_end, volume));
-        } else {
-            // Spread as two endpoints; bucketing interpolates by midpoint.
-            self.samples.push((t_end - dt * 0.5, volume));
+        let t = if dt <= 0.0 { t_end } else { t_end - dt * 0.5 };
+        let i = (t / self.window) as usize;
+        if i >= self.sums.len() {
+            self.sums.resize(i + 1, 0.0);
+            self.top_two = if i > 0 { self.sums[i - 1] } else { 0.0 };
         }
+        self.sums[i] += volume;
+        if i + 2 >= self.sums.len() {
+            self.top_two += volume;
+        }
+        self.total += volume;
     }
 
-    /// Total recorded volume.
-    pub fn total_volume(&self) -> f64 {
-        self.samples.iter().map(|(_, v)| v).sum()
-    }
-
-    /// Buckets the recorded volume into windows of `window` seconds over
-    /// `[0, horizon]`, returning `(window_center_time, rate)` pairs where
-    /// rate = volume in window / window length.
-    pub fn series(&self, window: Time, horizon: Time) -> Vec<(Time, f64)> {
-        assert!(window > 0.0, "window must be positive");
-        let n = (horizon / window).ceil().max(1.0) as usize;
-        let mut buckets = vec![0.0f64; n];
-        for &(t, v) in &self.samples {
-            let i = ((t / window) as usize).min(n - 1);
-            buckets[i] += v;
-        }
-        buckets
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| ((i as f64 + 0.5) * window, v / window))
+    /// The recorded volume as `(window_center_time, rate)` pairs over
+    /// `[0, horizon]`, rate = volume in window / window length.
+    ///
+    /// # Panics
+    /// Panics if a sample's midpoint lies more than one window past the
+    /// horizon (an interval ended after it).
+    pub fn series(&self, horizon: Time) -> Vec<(Time, f64)> {
+        let n = (horizon / self.window).ceil().max(1.0) as usize;
+        assert!(
+            self.sums.len() <= n + 1,
+            "throughput recorded past the horizon {horizon}"
+        );
+        let past_end = self.sums.len() == n + 1;
+        (0..n)
+            .map(|i| {
+                let v = if past_end && i + 1 == n {
+                    self.top_two
+                } else {
+                    self.sums.get(i).copied().unwrap_or(0.0)
+                };
+                ((i as f64 + 0.5) * self.window, v / self.window)
+            })
             .collect()
     }
 
@@ -151,16 +106,8 @@ impl ThroughputRecorder {
         if horizon <= 0.0 {
             0.0
         } else {
-            self.total_volume() / horizon
+            self.total / horizon
         }
-    }
-
-    /// Peak bucketed rate for the given window size.
-    pub fn peak_rate(&self, window: Time, horizon: Time) -> f64 {
-        self.series(window, horizon)
-            .into_iter()
-            .map(|(_, r)| r)
-            .fold(0.0, f64::max)
     }
 }
 
@@ -227,54 +174,180 @@ pub fn mape(predicted: &[f64], observed: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn utilization_integrates_levels() {
-        let mut u = UtilizationTracker::new(0.0);
-        u.set_level(0.0, 1.0).unwrap(); // busy on [0,4)
-        u.set_level(4.0, 0.0).unwrap(); // idle on [4,8)
-        assert!((u.average_until(8.0) - 0.5).abs() < 1e-12);
+    use proptest::prelude::*;
+
+    /// The sample-list recorder that [`ThroughputRecorder`] replaced: one
+    /// `(midpoint, volume)` pair per call, bucketed at the end. It is the
+    /// oracle for the per-window sums.
+    #[derive(Default)]
+    struct SampleList {
+        samples: Vec<(Time, f64)>,
     }
 
-    #[test]
-    fn utilization_partial_levels() {
-        let mut u = UtilizationTracker::new(10.0);
-        u.set_level(10.0, 0.25).unwrap();
-        u.set_level(14.0, 0.75).unwrap();
-        // [10,14): 0.25, [14,18): 0.75 -> average 0.5
-        assert!((u.average_until(18.0) - 0.5).abs() < 1e-12);
-        assert_eq!(u.level(), 0.75);
+    impl SampleList {
+        fn record_interval(&mut self, t_end: Time, dt: Time, volume: f64) {
+            if volume <= 0.0 {
+                return;
+            }
+            if dt <= 0.0 {
+                self.samples.push((t_end, volume));
+            } else {
+                self.samples.push((t_end - dt * 0.5, volume));
+            }
+        }
+
+        fn series(&self, window: Time, horizon: Time) -> Vec<(Time, f64)> {
+            let n = (horizon / window).ceil().max(1.0) as usize;
+            let mut buckets = vec![0.0f64; n];
+            for &(t, v) in &self.samples {
+                let i = ((t / window) as usize).min(n - 1);
+                buckets[i] += v;
+            }
+            buckets
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| ((i as f64 + 0.5) * window, v / window))
+                .collect()
+        }
+
+        fn mean_rate(&self, horizon: Time) -> f64 {
+            if horizon <= 0.0 {
+                0.0
+            } else {
+                self.samples.iter().map(|(_, v)| v).sum::<f64>() / horizon
+            }
+        }
     }
 
-    #[test]
-    fn out_of_order_update_is_rejected_and_state_preserved() {
-        let mut u = UtilizationTracker::new(0.0);
-        u.set_level(5.0, 1.0).unwrap();
-        let err = u.set_level(2.0, 0.5).unwrap_err();
-        assert_eq!(err, MetricsError::OutOfOrder { t: 2.0, since: 5.0 });
-        // The rejected update left the tracker untouched.
-        assert_eq!(u.level(), 1.0);
-        assert!((u.average_until(10.0) - 0.5).abs() < 1e-12);
+    fn bits(series: &[(Time, f64)]) -> Vec<(u64, u64)> {
+        series
+            .iter()
+            .map(|(t, r)| (t.to_bits(), r.to_bits()))
+            .collect()
     }
 
-    #[test]
-    fn utilization_before_any_time_elapsed_is_zero() {
-        let u = UtilizationTracker::new(5.0);
-        assert_eq!(u.average_until(5.0), 0.0);
+    /// Records every `(t_end, dt, volume)` into both recorders and compares
+    /// their series and mean rate bit for bit; returns whether a sample
+    /// landed past the last window and had to be folded back.
+    fn same_as_oracle(window: Time, horizon: Time, records: &[(Time, Time, f64)]) -> bool {
+        let mut rec = ThroughputRecorder::new(window);
+        let mut oracle = SampleList::default();
+        for &(t_end, dt, v) in records {
+            rec.record_interval(t_end, dt, v);
+            oracle.record_interval(t_end, dt, v);
+        }
+        assert_eq!(
+            bits(&rec.series(horizon)),
+            bits(&oracle.series(window, horizon)),
+            "series, window {window}, horizon {horizon}, records {records:?}"
+        );
+        assert_eq!(
+            rec.mean_rate(horizon).to_bits(),
+            oracle.mean_rate(horizon).to_bits(),
+            "mean rate, window {window}, horizon {horizon}, records {records:?}"
+        );
+        rec.sums.len() > (horizon / window).ceil().max(1.0) as usize
     }
 
     #[test]
     fn throughput_buckets_volume() {
-        let mut r = ThroughputRecorder::new();
+        let mut r = ThroughputRecorder::new(1.0);
         r.record_interval(1.0, 1.0, 10.0); // midpoint 0.5 -> bucket 0
         r.record_interval(3.0, 1.0, 30.0); // midpoint 2.5 -> bucket 2
-        let s = r.series(1.0, 4.0);
+        let s = r.series(4.0);
         assert_eq!(s.len(), 4);
         assert!((s[0].1 - 10.0).abs() < 1e-12);
         assert!((s[2].1 - 30.0).abs() < 1e-12);
         assert_eq!(s[1].1, 0.0);
-        assert!((r.total_volume() - 40.0).abs() < 1e-12);
         assert!((r.mean_rate(4.0) - 10.0).abs() < 1e-12);
-        assert!((r.peak_rate(1.0, 4.0) - 30.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_idle_recorder_has_a_negative_zero_mean_rate() {
+        let mut r = ThroughputRecorder::new(10.0);
+        r.record_interval(5.0, 5.0, 0.0);
+        r.record_interval(5.0, 5.0, -1.0);
+        assert_eq!(r.mean_rate(5.0).to_bits(), (-0.0f64).to_bits());
+        assert!(!same_as_oracle(10.0, 5.0, &[]));
+    }
+
+    /// The horizon ends exactly where window 1 starts, so window 1's
+    /// samples fold into window 0 in record order: each `1.1e-16` rounds
+    /// away against the `1.0` already there, where adding the two windows'
+    /// sums would keep them.
+    #[test]
+    fn a_window_past_the_horizon_folds_into_the_last_in_record_order() {
+        let tiny = (1.0, 0.0, 1.1e-16);
+        let records = [(1.0, 0.5, 1.0), tiny, tiny, tiny, tiny, (1.0, 0.0, 0.5)];
+        assert!(same_as_oracle(1.0, 1.0, &records));
+        let mut r = ThroughputRecorder::new(1.0);
+        for (t_end, dt, v) in records {
+            r.record_interval(t_end, dt, v);
+        }
+        assert_eq!(r.series(1.0), vec![(0.5, 1.5)]);
+        assert_eq!(1.0 + (4.0 * 1.1e-16 + 0.5), 1.5000000000000004);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the horizon")]
+    fn a_sample_two_windows_past_the_horizon_panics() {
+        let mut r = ThroughputRecorder::new(1.0);
+        r.record_interval(2.5, 0.0, 1.0);
+        r.series(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn a_zero_window_is_rejected() {
+        ThroughputRecorder::new(0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Random windows, non-decreasing interval ends up to the horizon,
+        /// zero, tiny and long intervals, and volumes from `1e-17` to
+        /// `1e4` with zeros and negatives. Half the windows are `m / 16`,
+        /// so `k · window / window == k` exactly and an interval ending at
+        /// the horizon lands in window `n`, past the end.
+        #[test]
+        fn per_window_sums_match_the_sample_list_bit_for_bit(
+            sixteenths in prop::option::of(1u32..400),
+            free_window in 0.01f64..30.0,
+            k in 1u32..12,
+            beyond in prop::option::of(0.0f64..1.0),
+            records in prop::collection::vec(
+                (0.0f64..1.0, 0u8..4, 0u8..6, 0.0f64..2.0, -17i32..5, 0u8..8),
+                0..40,
+            ),
+        ) {
+            let window = sixteenths.map_or(free_window, |m| m as f64 / 16.0);
+            let horizon = (k as f64 + beyond.unwrap_or(0.0)) * window;
+            let mut ends: Vec<Time> = records
+                .iter()
+                .map(|&(u, at_end, ..)| if at_end == 0 { horizon } else { u * horizon })
+                .collect();
+            ends.sort_by(f64::total_cmp);
+            let records: Vec<(Time, Time, f64)> = ends
+                .into_iter()
+                .zip(&records)
+                .map(|(t_end, &(u, _, dt_kind, dt_frac, exp, vol_kind))| {
+                    let dt = match dt_kind {
+                        0 | 1 => 0.0,
+                        2 => t_end * 1e-17,
+                        _ => dt_frac * window,
+                    };
+                    let v = (1.0 + u) * 10f64.powi(exp);
+                    let v = match vol_kind {
+                        0 => 0.0,
+                        1 => -v,
+                        _ => v,
+                    };
+                    (t_end, dt, v)
+                })
+                .collect();
+            same_as_oracle(window, horizon, &records);
+        }
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub struct SimConfig {
     /// about this — the sensitivity experiment measures how far
     /// interference can grow before predictions degrade.
     pub nic_interference: f64,
-    /// Window (seconds) for bucketing PS NIC throughput time series.
+    /// Window (seconds) for bucketing PS NIC throughput time series; it
+    /// must be finite and positive, which the engine checks when built.
     pub throughput_window: f64,
 }
 

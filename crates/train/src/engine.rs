@@ -340,6 +340,11 @@ impl<'a> Engine<'a> {
         let n_ps = cluster.ps.len();
         assert!(n > 0 && n_ps > 0, "degenerate cluster");
         assert!(n <= 128, "the engine tracks barrier membership in a u128");
+        assert!(
+            cfg.throughput_window.is_finite() && cfg.throughput_window > 0.0,
+            "SimConfig::throughput_window must be finite and positive, got {}",
+            cfg.throughput_window
+        );
 
         // Parameter shards: equal split (real PS implementations shard
         // large tensors across servers). Multi-PS clusters get at least
@@ -495,7 +500,7 @@ impl<'a> Engine<'a> {
             comm_active: KeyMap::default(),
             comm_accum: KeyMap::default(),
             ps_cpu_busy: vec![0.0; n_ps],
-            ps_nic_rec: vec![ThroughputRecorder::new(); n_ps],
+            ps_nic_rec: vec![ThroughputRecorder::new(cfg.throughput_window); n_ps],
             loss_rng: Jitter::new(cfg.seed, "loss-noise", n as u64, w.convergence.noise_sd),
             loss_stride: (target / cfg.loss_samples.max(1) as u64).max(1),
             loss_curve: Vec::new(),
@@ -1617,12 +1622,8 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|r| r.mean_rate(sim_time))
             .collect();
-        let window = self.cfg.throughput_window;
-        let ps_nic_series: Vec<Vec<(f64, f64)>> = self
-            .ps_nic_rec
-            .iter()
-            .map(|r| r.series(window, sim_time))
-            .collect();
+        let ps_nic_series: Vec<Vec<(f64, f64)>> =
+            self.ps_nic_rec.iter().map(|r| r.series(sim_time)).collect();
 
         let comp_time = Stats::of(&self.comp_samples);
         let comm_time = Stats::of(&self.comm_samples);
@@ -2052,5 +2053,27 @@ mod tests {
         let r17 = run(&w, m4_cluster(17, 1), cfg);
         assert!(r17.comp_time.mean < r9.comp_time.mean);
         assert!(r17.comm_time.mean > r9.comm_time.mean);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig::throughput_window must be finite and positive")]
+    fn a_zero_throughput_window_is_rejected_before_the_run() {
+        let w = Workload::mnist_bsp();
+        let cfg = SimConfig {
+            throughput_window: 0.0,
+            ..SimConfig::deterministic(1)
+        };
+        run(&w, m4_cluster(1, 1), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig::throughput_window must be finite and positive")]
+    fn a_nan_throughput_window_is_rejected_before_the_run() {
+        let w = Workload::mnist_bsp();
+        let cfg = SimConfig {
+            throughput_window: f64::NAN,
+            ..SimConfig::deterministic(1)
+        };
+        run(&w, m4_cluster(1, 1), cfg);
     }
 }
